@@ -3,7 +3,9 @@
 The event-driven engine repairs object states after an abort with
 per-transaction undo segments (roll the touched objects back to the
 pre-subtree snapshot, re-apply the surviving suffix) instead of replaying
-the entire step log from the initial states.  This experiment drives an
+the entire recorded history from the initial states.  The full-replay
+strategy survives as a test-suite oracle
+(:class:`tests.oracles.ReplayUndoEngine`).  This experiment drives an
 abort-heavy hot-spot workload — NTO restarts aggressively under
 contention — under both strategies and times the runs.  Scheduling
 decisions are independent of the undo strategy, so both rows commit the
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from repro.scheduler import make_scheduler
 from repro.simulation import HotspotWorkload, SimulationEngine
+from tests.oracles import ReplayUndoEngine
 
 from .harness import append_bench_rows, print_experiment
 
@@ -31,6 +34,9 @@ COLUMNS = [
 ]
 
 BENCH_JSON = Path(__file__).resolve().parent / "BENCH_e11_abort_heavy.json"
+
+#: The engine behind each ``undo`` row label.
+ENGINES = {"replay": ReplayUndoEngine, "incremental": SimulationEngine}
 
 
 def _workload() -> HotspotWorkload:
@@ -46,7 +52,7 @@ def _workload() -> HotspotWorkload:
 
 def run_configuration(undo: str) -> dict:
     base, specs = _workload().build()
-    engine = SimulationEngine(base, make_scheduler("nto"), seed=1111, undo=undo)
+    engine = ENGINES[undo](base, make_scheduler("nto"), seed=1111)
     engine.submit_all(specs)
     started = time.perf_counter()
     result = engine.run()

@@ -1,15 +1,15 @@
-"""E12 — certification cost scaling: indexed/incremental vs from-scratch.
+"""E12 — certification cost scaling: indexed vs from-scratch.
 
 PR 2 made post-run certification near-linear: histories carry persistent
 indexes (per-object step lists, cached ancestor chains, sorted-interval
 sweeps) and the serialisation-graph builders enumerate only
-actually-ordered conflicting pairs, with an :class:`IncrementalSG` variant
-that consumes steps in commit order.  The original permutation builders
-are retained as ``sg_mode="legacy"`` — this experiment certifies the same
-committed projection under all three modes and times them, across run
-lengths and two schedulers (blocking n2pl produces long committed
-histories; the optimistic certifier exercises the incremental commit-time
-validation during the run itself).
+actually-ordered conflicting pairs.  The original permutation builders
+live on as test-suite oracles (:func:`tests.oracles.certify_history_legacy`)
+— this experiment certifies the same committed projection both ways and
+times them, across run lengths and two schedulers (blocking n2pl produces
+long committed histories; the optimistic certifier exercises the
+incremental commit-time validation during the run itself, and the
+experiment counts the conflict-spec calls that validation makes — none).
 
 Each sweep appends to ``BENCH_e12_certification_scaling.json`` (schema:
 ``{"experiment", "rows": [...]}``) with a setup/run/certify timing
@@ -24,16 +24,16 @@ import time
 from pathlib import Path
 
 from repro.analysis import certify_history
-from repro.scheduler import make_scheduler
+from repro.scheduler import OptimisticCertifier, make_scheduler
 from repro.simulation import HotspotWorkload, SimulationEngine
+from tests.oracles import certify_history_legacy
 
 from .harness import append_bench_rows, print_experiment
 
 COLUMNS = [
     "scheduler", "transactions", "committed", "committed_steps",
     "setup_seconds", "run_seconds",
-    "certify_legacy_seconds", "certify_indexed_seconds", "certify_incremental_seconds",
-    "speedup_indexed", "speedup_incremental",
+    "certify_legacy_seconds", "certify_indexed_seconds", "speedup_indexed",
 ]
 
 LENGTHS = (12, 24, 48)
@@ -56,10 +56,34 @@ def _workload(transactions: int) -> HotspotWorkload:
     )
 
 
+class _CountingCertifier(OptimisticCertifier):
+    """The certifier, counting conflict-spec calls made inside commit validation."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.commit_conflict_calls = 0
+        self._validating = False
+
+    def on_commit_request(self, info):
+        self._validating = True
+        try:
+            return super().on_commit_request(info)
+        finally:
+            self._validating = False
+
+    def _conflicting(self, object_name, earlier, later):
+        if self._validating:
+            self.commit_conflict_calls += 1
+        return super()._conflicting(object_name, earlier, later)
+
+
 def run_configuration(scheduler_name: str, transactions: int) -> dict:
     started = time.perf_counter()
     base, specs = _workload(transactions).build()
-    scheduler = make_scheduler(scheduler_name)
+    if scheduler_name == "certifier":
+        scheduler = _CountingCertifier()
+    else:
+        scheduler = make_scheduler(scheduler_name)
     engine = SimulationEngine(base, scheduler, seed=2202)
     engine.submit_all(specs)
     setup_seconds = time.perf_counter() - started
@@ -71,10 +95,10 @@ def run_configuration(scheduler_name: str, transactions: int) -> dict:
     committed = result.committed_history()
     timings: dict[str, float] = {}
     reports = {}
-    for sg_mode in ("legacy", "indexed", "incremental"):
+    for mode, certify in (("legacy", certify_history_legacy), ("indexed", certify_history)):
         started = time.perf_counter()
-        reports[sg_mode] = certify_history(committed, check_legality=False, sg_mode=sg_mode)
-        timings[sg_mode] = time.perf_counter() - started
+        reports[mode] = certify(committed, check_legality=False)
+        timings[mode] = time.perf_counter() - started
     verdicts = {
         (report.serialisable, report.theorem5_holds, report.sg_edges)
         for report in reports.values()
@@ -94,13 +118,10 @@ def run_configuration(scheduler_name: str, transactions: int) -> dict:
         "run_seconds": round(run_seconds, 6),
         "certify_legacy_seconds": round(timings["legacy"], 6),
         "certify_indexed_seconds": round(timings["indexed"], 6),
-        "certify_incremental_seconds": round(timings["incremental"], 6),
         "speedup_indexed": round(timings["legacy"] / max(timings["indexed"], 1e-9), 2),
-        "speedup_incremental": round(timings["legacy"] / max(timings["incremental"], 1e-9), 2),
     }
     if scheduler_name == "certifier":
-        description = scheduler.describe()
-        row["commit_conflict_calls"] = description.get("commit_conflict_calls", 0)
+        row["commit_conflict_calls"] = scheduler.commit_conflict_calls
     return row
 
 
@@ -119,7 +140,7 @@ def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
 
 def test_e12_certification_scaling(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E12: certification cost — legacy vs indexed/incremental", rows, COLUMNS)
+    print_experiment("E12: certification cost — legacy vs indexed", rows, COLUMNS)
     write_bench_json(rows)
     # The online certifier must never re-enumerate step pairs at commit.
     for row in rows:
@@ -142,6 +163,6 @@ def test_e12_certification_scaling(benchmark):
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
     experiment_rows = run_experiment()
     print_experiment(
-        "E12: certification cost — legacy vs indexed/incremental", experiment_rows, COLUMNS
+        "E12: certification cost — legacy vs indexed", experiment_rows, COLUMNS
     )
     write_bench_json(experiment_rows)

@@ -21,9 +21,10 @@ Three kinds of rows accumulate in ``BENCH_e16_hot_loop.json``:
   trajectory is regenerated locally and a cross-machine one in CI, which
   is why the hard gate lives on the in-run ratio below.
 * ``engine="event"`` — the current engine.  Each row also times the same
-  scenario under ``hot_loop="scan"`` — the retained pre-PR frame-choice
-  strategy (per-tick frame scan, per-probe list allocations) — in the
-  same process, and records the *in-run* ``speedup_scan`` ratio, which is
+  scenario under :class:`tests.oracles.ScanLoopEngine` — the pre-PR
+  frame-choice strategy (per-tick frame scan, per-probe list
+  allocations), kept as a test-suite oracle — in the same process, and
+  records the *in-run* ``speedup_scan`` ratio, which is
   machine-independent the way E12's speedups are.  ``compare_bench.py``
   watches it (with a wall-clock noise floor) so the ready-queue gain can
   never silently regress.
@@ -45,6 +46,7 @@ from pathlib import Path
 from repro.scheduler import make_scheduler
 from repro.simulation import SimulationEngine
 from repro.simulation.workloads import make_workload
+from tests.oracles import ScanLoopEngine
 
 from .harness import append_bench_rows, print_experiment
 
@@ -87,7 +89,11 @@ DETERMINISTIC_COLUMNS = (
 )
 
 
-def _build_engine(scheduler: str, mode: str, size: int, hot_loop: str | None):
+#: The engine class behind each ``engine`` row label.
+ENGINES = {"event": SimulationEngine, "scan": ScanLoopEngine}
+
+
+def _build_engine(scheduler: str, mode: str, size: int, hot_loop: str):
     workload = make_workload(
         "hotspot",
         transactions=size,
@@ -99,12 +105,10 @@ def _build_engine(scheduler: str, mode: str, size: int, hot_loop: str | None):
         seed=SEED,
     )
     base, specs = workload.build()
-    engine_kwargs = {} if hot_loop is None else {"hot_loop": hot_loop}
-    engine = SimulationEngine(
+    engine = ENGINES[hot_loop](
         base,
         make_scheduler(scheduler, restart_policy="backoff"),
         seed=SEED,
-        **engine_kwargs,
     )
     if mode == "stream":
         engine.submit_stream(specs, {"name": "poisson", "rate": STREAM_RATE})
@@ -113,15 +117,13 @@ def _build_engine(scheduler: str, mode: str, size: int, hot_loop: str | None):
     return engine
 
 
-def measure(scheduler: str, mode: str, *, hot_loop: str | None = None) -> dict:
+def measure(scheduler: str, mode: str, *, hot_loop: str = "event") -> dict:
     """Run one configuration and report its throughput row.
 
-    ``hot_loop=None`` omits the engine kwarg entirely, so the function can
-    also drive engines that predate the parameter (how the ``pre_pr``
-    baseline was recorded).  The scenario runs ``REPEATS`` times (engines
-    are single-use, so each timing gets a fresh engine) and the fastest
-    wall is reported; every run computes identical results, so only the
-    timing varies.
+    ``hot_loop`` names the engine (see :data:`ENGINES`).  The scenario runs
+    ``REPEATS`` times (engines are single-use, so each timing gets a fresh
+    engine) and the fastest wall is reported; every run computes identical
+    results, so only the timing varies.
     """
     size = ARRIVALS if mode == "stream" else TXNS
     wall = float("inf")
@@ -136,7 +138,7 @@ def measure(scheduler: str, mode: str, *, hot_loop: str | None = None) -> dict:
         "experiment": "e16_hot_loop",
         "scheduler": scheduler,
         "mode": mode,
-        "engine": hot_loop or "event",
+        "engine": hot_loop,
         "transactions": size,
         "decisions": decisions,
         "makespan": metrics.total_ticks,
@@ -237,7 +239,7 @@ def test_e16_hot_loop(benchmark):
                 f"{label}: decision throughput only {speedup:.1f}x the "
                 f"recorded pre-PR baseline (floor {BASELINE_SPEEDUP_FLOOR}x)"
             )
-        # The event-driven loop must never lose to the retained scan loop.
+        # The event-driven loop must never lose to the scan-loop oracle.
         # Low-contention stream runs finish in ~0.5s, where both loops are
         # within each other's timing jitter; the floor leaves ~10% of noise
         # headroom (compare_bench watches the recorded ratio trend with the

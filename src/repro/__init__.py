@@ -61,7 +61,6 @@ from .scheduler import (
     make_scheduler,
     scheduler_names,
 )
-from .shard import ShardMap
 from .simulation import (
     ARRIVAL_REGISTRY,
     FAULT_REGISTRY,
@@ -77,6 +76,17 @@ from .simulation import (
 from .sweep import ScenarioSpec, SweepSpec
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # ShardMap resolves on first use so that ``import repro`` — and with
+    # it every plain single-engine run — never loads the shard layer.
+    if name == "ShardMap":
+        from .shard import ShardMap
+
+        return ShardMap
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ARRIVAL_REGISTRY",

@@ -17,17 +17,10 @@ from typing import Any
 import networkx as nx
 
 from ..core.errors import IllegalHistoryError
-from ..core.graphs import (
-    incremental_serialisation_graph,
-    is_acyclic,
-    serialisation_graph,
-    serialisation_graph_legacy,
-)
+from ..core.graphs import is_acyclic, serialisation_graph
 from ..core.history import History
 from ..core.theorems import execution_serial_order, theorem_5_conditions
 from ..simulation.metrics import RunResult
-
-SG_MODES = ("indexed", "incremental", "legacy")
 
 
 @dataclass
@@ -91,26 +84,13 @@ def cyclic_nodes(graph: nx.DiGraph) -> tuple[str, ...]:
     return tuple(sorted(nodes))
 
 
-def certify_history(
-    history: History,
-    *,
-    check_legality: bool = True,
-    sg_mode: str = "indexed",
-) -> CertificationReport:
+def certify_history(history: History, *, check_legality: bool = True) -> CertificationReport:
     """Certify an arbitrary history (assumed already projected to committed work).
 
-    ``sg_mode`` selects the serialisation-graph machinery:
-
-    * ``"indexed"`` (default) — the sorted-interval sweep builders; the
-      graph is built once and reused for the acyclicity test and the serial
-      order instead of being rebuilt per question;
-    * ``"incremental"`` — :class:`~repro.core.graphs.IncrementalSG` fed the
-      committed steps in temporal order (the certifier-shaped construction);
-    * ``"legacy"`` — the original from-scratch permutation builders,
-      retained for oracle cross-checks and the E12 benchmark baseline.
+    ``SG(h)`` is built once with the sorted-interval sweep builders and
+    reused for the acyclicity test and the serial order instead of being
+    rebuilt per question.
     """
-    if sg_mode not in SG_MODES:
-        raise ValueError(f"unknown sg_mode {sg_mode!r}; expected one of {SG_MODES}")
     violations: list[str] = []
 
     legal = True
@@ -121,22 +101,14 @@ def certify_history(
             legal = False
             violations.append(f"legality: {error}")
 
-    if sg_mode == "legacy":
-        graph = serialisation_graph_legacy(history)
-        serialisable = is_acyclic(graph)
-    elif sg_mode == "incremental":
-        incremental = incremental_serialisation_graph(history)
-        graph = incremental.graph
-        serialisable = incremental.is_acyclic
-    else:
-        graph = serialisation_graph(history)
-        serialisable = is_acyclic(graph)
+    graph = serialisation_graph(history)
+    serialisable = is_acyclic(graph)
     cycle: tuple[str, ...] | None = None
     if not serialisable:
         violations.append("serialisation graph contains a cycle")
         cycle = cyclic_nodes(graph)
 
-    report5 = theorem_5_conditions(history, legacy=sg_mode == "legacy")
+    report5 = theorem_5_conditions(history)
     if not report5.holds:
         if report5.cyclic_objects:
             violations.append(
@@ -169,9 +141,6 @@ def certify_history(
     )
 
 
-def certify_run(
-    result: RunResult, *, check_legality: bool = True, sg_mode: str = "indexed"
-) -> CertificationReport:
+def certify_run(result: RunResult, *, check_legality: bool = True) -> CertificationReport:
     """Certify the committed projection of a simulation run."""
-    committed = result.committed_history()
-    return certify_history(committed, check_legality=check_legality, sg_mode=sg_mode)
+    return certify_history(result.committed_history(), check_legality=check_legality)

@@ -11,8 +11,7 @@ This module is that workflow, packaged:
   decision throughput (so before/after comparisons come for free).
 * ``python -m repro.analysis.profile`` prints that report per scheduler —
   the quickstart documented in the README.  ``--sort tottime`` ranks by
-  self-time instead; ``--scan`` profiles the legacy ``hot_loop="scan"``
-  strategy for comparison.
+  self-time instead.
 
 The report rows are plain dictionaries so tests (and future tooling) can
 assert on them; the text rendering is one formatting call away.  For a
@@ -45,7 +44,6 @@ class ProfileReport:
     """One profiled run: ranked hot spots plus headline throughput."""
 
     scheduler: str
-    hot_loop: str
     wall_seconds: float
     decisions: int
     rows: list[dict[str, Any]]
@@ -56,7 +54,7 @@ class ProfileReport:
 
     def format(self, limit: int = 15) -> str:
         lines = [
-            f"== {self.scheduler} (hot_loop={self.hot_loop}): "
+            f"== {self.scheduler}: "
             f"{self.decisions} decisions in {self.wall_seconds:.2f}s "
             f"({self.decisions_per_second:,.0f}/s) ==",
             f"{'cumtime':>9} {'tottime':>9} {'calls':>10}  function",
@@ -74,7 +72,6 @@ def build_standard_engine(
     *,
     transactions: int = DEFAULT_TRANSACTIONS,
     seed: int = DEFAULT_SEED,
-    hot_loop: str = "event",
 ) -> SimulationEngine:
     """The standard profiling scenario, ready to :meth:`run`."""
     workload = make_workload(
@@ -92,7 +89,6 @@ def build_standard_engine(
         base,
         make_scheduler(scheduler, restart_policy="backoff"),
         seed=seed,
-        hot_loop=hot_loop,
     )
     engine.submit_all(specs)
     return engine
@@ -133,20 +129,16 @@ def profile_scenario(
     *,
     transactions: int = DEFAULT_TRANSACTIONS,
     seed: int = DEFAULT_SEED,
-    hot_loop: str = "event",
     sort: str = "cumtime",
     dump: str | None = None,
 ) -> ProfileReport:
     """Profile one scheduler on the standard scenario."""
-    engine = build_standard_engine(
-        scheduler, transactions=transactions, seed=seed, hot_loop=hot_loop
-    )
+    engine = build_standard_engine(scheduler, transactions=transactions, seed=seed)
     started = time.perf_counter()
     result, rows = profile_call(engine.run, sort=sort, dump=dump)
     wall = time.perf_counter() - started
     return ProfileReport(
         scheduler=scheduler,
-        hot_loop=hot_loop,
         wall_seconds=wall,
         decisions=result.metrics.decisions,
         rows=rows,
@@ -171,11 +163,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
-        "--scan",
-        action="store_true",
-        help='profile the legacy hot_loop="scan" strategy instead of the event loop',
-    )
-    parser.add_argument(
         "--sort", choices=("cumtime", "tottime"), default="cumtime", help="ranking key"
     )
     parser.add_argument("--limit", type=int, default=15, help="rows per report")
@@ -186,14 +173,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     schedulers = tuple(args.scheduler) if args.scheduler else DEFAULT_SCHEDULERS
-    hot_loop = "scan" if args.scan else "event"
     for scheduler in schedulers:
         dump = f"{args.dump}.{scheduler}.pstats" if args.dump else None
         report = profile_scenario(
             scheduler,
             transactions=args.transactions,
             seed=args.seed,
-            hot_loop=hot_loop,
             sort=args.sort,
             dump=dump,
         )

@@ -19,24 +19,12 @@ All graphs are returned as :class:`networkx.DiGraph` instances whose edges
 carry a ``reasons`` attribute listing the step pairs that induced them, so
 failures can be explained to the user.
 
-Two construction strategies coexist:
-
-* the **indexed** builders (the default) enumerate only actually-ordered
-  conflicting step pairs per object via the history's sorted-interval
-  sweep — ``O(n log n + k)`` pair enumeration instead of ``O(n^2)``
-  permutations — and share per-object ``SG_local`` graphs when assembling
-  ``SG_mesg``;
-* the **legacy** builders (``*_legacy``) are the original from-scratch
-  permutation scans.  They are retained as oracles: every indexed builder
-  takes a ``check=True`` flag that rebuilds the graph the legacy way and
-  raises :class:`~repro.core.errors.VerificationError` on any divergence
-  (mirroring the ``check_undo`` convention of the simulation engine).
-
-:class:`IncrementalSG` additionally maintains ``SG(h)`` *online*: local
-steps are fed in temporal order and each is classified against the
-per-object steps already seen, while a DFS-based incremental cycle check
-flags the first edge that closes a cycle — this is the post-run analogue of
-the optimistic certifier's commit-time validation.
+The builders enumerate only actually-ordered conflicting step pairs per
+object via the history's sorted-interval sweep — ``O(n log n + k)`` pair
+enumeration instead of ``O(n^2)`` permutations — and share per-object
+``SG_local`` graphs when assembling ``SG_mesg``.  The original
+from-scratch permutation builders serve as oracles in the test-suite
+(``tests/oracles``), which asserts edge-for-edge agreement.
 """
 
 from __future__ import annotations
@@ -46,7 +34,6 @@ from typing import Iterable, Mapping
 
 import networkx as nx
 
-from .errors import VerificationError
 from .history import History
 from .operations import LocalStep, MessageStep
 
@@ -59,7 +46,7 @@ def _add_edge(graph: nx.DiGraph, source: str, target: str, reason: tuple) -> Non
 
 
 def has_path(graph: nx.DiGraph, source, target) -> bool:
-    """Iterative DFS reachability (used by the incremental cycle checks)."""
+    """Iterative DFS reachability (the certifier's incremental cycle check)."""
     if source not in graph or target not in graph:
         return False
     if source == target:
@@ -87,46 +74,6 @@ def _conflicting_ordered_pairs(history: History) -> Iterable[tuple[LocalStep, Lo
         yield from history.ordered_conflicting_pairs(object_name)
 
 
-def _conflicting_ordered_pairs_legacy(history: History) -> Iterable[tuple[LocalStep, LocalStep]]:
-    """The original permutation enumeration (oracle only)."""
-    for object_name in history.object_names():
-        steps = history.local_steps(object_name)
-        for first, second in itertools.permutations(steps, 2):
-            if not history.precedes_legacy(first, second):
-                continue
-            if history.conflicts.steps_conflict(first, second):
-                yield first, second
-
-
-def _reason_multisets(graph: nx.DiGraph) -> dict[tuple, dict[tuple, int]]:
-    rendered: dict[tuple, dict[tuple, int]] = {}
-    for source, target, data in graph.edges(data=True):
-        counts: dict[tuple, int] = {}
-        for reason in data["reasons"]:
-            key = tuple(reason)
-            counts[key] = counts.get(key, 0) + 1
-        rendered[(source, target)] = counts
-    return rendered
-
-
-def _assert_graphs_match(candidate: nx.DiGraph, oracle: nx.DiGraph, label: str) -> None:
-    """Cross-check an indexed graph against its legacy oracle."""
-    if set(candidate.nodes) != set(oracle.nodes):
-        raise VerificationError(
-            f"{label}: node sets diverge (indexed {sorted(candidate.nodes)!r} "
-            f"vs legacy {sorted(oracle.nodes)!r})"
-        )
-    candidate_reasons = _reason_multisets(candidate)
-    oracle_reasons = _reason_multisets(oracle)
-    if candidate_reasons != oracle_reasons:
-        missing = set(oracle_reasons) - set(candidate_reasons)
-        extra = set(candidate_reasons) - set(oracle_reasons)
-        raise VerificationError(
-            f"{label}: edge/reason sets diverge (missing {sorted(missing)!r}, "
-            f"extra {sorted(extra)!r}, or reason multiplicities differ)"
-        )
-
-
 # ---------------------------------------------------------------------------
 # SG(h) — Definition 9
 # ---------------------------------------------------------------------------
@@ -148,8 +95,8 @@ def _add_type_a_edges(
                     _add_edge(graph, source, target, ("conflict", first.step_id, second.step_id))
 
 
-def _add_type_b_edges(history: History, add_edge) -> None:
-    """Install Definition 9's structure edges through ``add_edge(source, target, reason)``."""
+def _add_type_b_edges(graph: nx.DiGraph, history: History) -> None:
+    """Install Definition 9's structure edges."""
     for execution in history.executions.values():
         messages = execution.message_steps()
         for first_message, second_message in itertools.permutations(messages, 2):
@@ -161,14 +108,15 @@ def _add_type_b_edges(history: History, add_edge) -> None:
                 continue
             for source in history.descendants(first_child):
                 for target in history.descendants(second_child):
-                    add_edge(
+                    _add_edge(
+                        graph,
                         source,
                         target,
                         ("structure", first_message.step_id, second_message.step_id),
                     )
 
 
-def serialisation_graph(history: History, *, check: bool = False) -> nx.DiGraph:
+def serialisation_graph(history: History) -> nx.DiGraph:
     """Build ``SG(h)`` exactly as in Definition 9.
 
     Nodes are execution ids.  For a type (a) witness ``t < t'`` with ``t``
@@ -179,24 +127,12 @@ def serialisation_graph(history: History, *, check: bool = False) -> nx.DiGraph:
     every pair of executions descending from ``B(m)`` and ``B(m')``.
 
     Conflict witnesses are enumerated with the history's sorted-interval
-    sweep; ``check=True`` rebuilds the graph with the legacy permutation
-    scan and raises on any divergence.
+    sweep.
     """
     graph = nx.DiGraph()
     graph.add_nodes_from(history.execution_ids())
     _add_type_a_edges(graph, history, _conflicting_ordered_pairs(history))
-    _add_type_b_edges(history, lambda source, target, reason: _add_edge(graph, source, target, reason))
-    if check:
-        _assert_graphs_match(graph, serialisation_graph_legacy(history), "serialisation_graph")
-    return graph
-
-
-def serialisation_graph_legacy(history: History) -> nx.DiGraph:
-    """The original from-scratch ``SG(h)`` builder (oracle for ``check=True``)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(history.execution_ids())
-    _add_type_a_edges(graph, history, _conflicting_ordered_pairs_legacy(history))
-    _add_type_b_edges(history, lambda source, target, reason: _add_edge(graph, source, target, reason))
+    _add_type_b_edges(graph, history)
     return graph
 
 
@@ -205,7 +141,7 @@ def serialisation_graph_legacy(history: History) -> nx.DiGraph:
 # ---------------------------------------------------------------------------
 
 
-def sg_local(history: History, object_name: str, *, check: bool = False) -> nx.DiGraph:
+def sg_local(history: History, object_name: str) -> nx.DiGraph:
     """``SG_local(h, o)``: conflict ordering among the object's own executions.
 
     Nodes are the method executions *of object* ``object_name``; there is an
@@ -224,33 +160,6 @@ def sg_local(history: History, object_name: str, *, check: bool = False) -> nx.D
             continue
         if history.are_incomparable(source, target):
             _add_edge(graph, source, target, ("local-conflict", first.step_id, second.step_id))
-    if check:
-        _assert_graphs_match(graph, sg_local_legacy(history, object_name), f"sg_local({object_name!r})")
-    return graph
-
-
-def sg_local_legacy(history: History, object_name: str) -> nx.DiGraph:
-    """The original per-execution-pair ``SG_local`` builder (oracle)."""
-    graph = nx.DiGraph()
-    executions = [
-        history.execution(execution_id)
-        for execution_id in history.executions_of_object(object_name)
-    ]
-    graph.add_nodes_from(execution.execution_id for execution in executions)
-    for first_execution, second_execution in itertools.permutations(executions, 2):
-        if not history.are_incomparable(first_execution.execution_id, second_execution.execution_id):
-            continue
-        for first_step in first_execution.local_steps():
-            for second_step in second_execution.local_steps():
-                if not history.precedes_legacy(first_step, second_step):
-                    continue
-                if history.conflicts.steps_conflict(first_step, second_step):
-                    _add_edge(
-                        graph,
-                        first_execution.execution_id,
-                        second_execution.execution_id,
-                        ("local-conflict", first_step.step_id, second_step.step_id),
-                    )
     return graph
 
 
@@ -259,7 +168,6 @@ def sg_mesg(
     object_name: str,
     *,
     local_graphs: Mapping[str, nx.DiGraph] | None = None,
-    check: bool = False,
 ) -> nx.DiGraph:
     """``SG_mesg(h, o)``: orderings the object's executions inherit from below.
 
@@ -297,36 +205,6 @@ def sg_mesg(
                         continue
                     if history.are_incomparable(source, target):
                         _add_edge(graph, source, target, ("mesg", first_id, second_id))
-    if check:
-        _assert_graphs_match(graph, sg_mesg_legacy(history, object_name), f"sg_mesg({object_name!r})")
-    return graph
-
-
-def sg_mesg_legacy(history: History, object_name: str) -> nx.DiGraph:
-    """The original execution-pair scan over all local graphs (oracle)."""
-    graph = nx.DiGraph()
-    executions = [
-        history.execution(execution_id)
-        for execution_id in history.executions_of_object(object_name)
-    ]
-    graph.add_nodes_from(execution.execution_id for execution in executions)
-
-    local_graphs = {
-        other_object: sg_local_legacy(history, other_object)
-        for other_object in _objects_with_executions(history)
-    }
-
-    for first_execution, second_execution in itertools.permutations(executions, 2):
-        first_id = first_execution.execution_id
-        second_id = second_execution.execution_id
-        if not history.are_incomparable(first_id, second_id):
-            continue
-        first_descendants = set(history.descendants(first_id, include_self=False))
-        second_descendants = set(history.descendants(second_id, include_self=False))
-        for local_graph in local_graphs.values():
-            for source, target in local_graph.edges:
-                if source in first_descendants and target in second_descendants:
-                    _add_edge(graph, first_id, second_id, ("mesg", source, target))
     return graph
 
 
@@ -411,147 +289,6 @@ def _descendant_local_steps(history: History, message: MessageStep) -> list[Loca
     for execution_id in history.descendants(child_id):
         steps.extend(history.execution(execution_id).local_steps())
     return steps
-
-
-# ---------------------------------------------------------------------------
-# Incremental SG construction
-# ---------------------------------------------------------------------------
-
-
-class IncrementalSG:
-    """``SG(h)`` maintained online as local steps arrive in temporal order.
-
-    The node set and the type (b) structure edges depend only on the
-    execution forest and programme orders, so they are installed up front;
-    type (a) conflict edges are discovered by classifying each new local
-    step against the per-object steps already added — ``O(predecessors on
-    the object)`` per step instead of re-enumerating every pair on every
-    query.  Steps must be fed in an order consistent with ``<`` (any linear
-    extension); :func:`incremental_serialisation_graph` does this from a
-    recorded history.
-
-    Cycle detection is incremental: before a *new* edge ``(u, v)`` is
-    inserted, a DFS checks whether ``v`` already reaches ``u`` — every cycle
-    contains a last-inserted edge, so the first such hit is recorded in
-    :attr:`cycle_edge` and :attr:`is_acyclic` turns false.  networkx is used
-    only as a cross-check under ``check=True``.
-    """
-
-    def __init__(self, history: History, *, check: bool = False):
-        self._history = history
-        self._check = check
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(history.execution_ids())
-        self._steps_by_object: dict[str, list[LocalStep]] = {}
-        self.cycle_edge: tuple[str, str] | None = None
-        _add_type_b_edges(history, self._add_edge)
-
-    @property
-    def is_acyclic(self) -> bool:
-        return self.cycle_edge is None
-
-    def add_step(self, step: LocalStep) -> bool:
-        """Classify and add one local step; returns ``is_acyclic`` after it.
-
-        The step is compared against every step previously added on its
-        object: pairs that are ordered by ``<`` and conflict induce edges
-        between all incomparable ancestor pairs, exactly as in the
-        from-scratch builder.
-        """
-        history = self._history
-        earlier_steps = self._steps_by_object.setdefault(step.object_name, [])
-        conflicts = history.conflicts
-        for earlier in earlier_steps:
-            # Insertion order should be a linear extension of <, in which
-            # case only ``earlier < step`` can hold; the reverse direction is
-            # still checked so that degenerate (cyclic-<) histories — where
-            # no true linear extension exists — classify every ordered pair
-            # exactly as the from-scratch builder does.  Concurrent
-            # (unordered) steps induce no edges.
-            if history.precedes(earlier, step) and conflicts.steps_conflict(earlier, step):
-                self._add_conflict_edges(earlier, step)
-            if history.precedes(step, earlier) and conflicts.steps_conflict(step, earlier):
-                self._add_conflict_edges(step, earlier)
-        earlier_steps.append(step)
-        if self._check:
-            materialised = nx.DiGraph(self.graph)
-            if self.is_acyclic != nx.is_directed_acyclic_graph(materialised):
-                raise VerificationError(
-                    "IncrementalSG cycle verdict diverges from networkx on the "
-                    f"materialised graph after step {step.step_id}"
-                )
-        return self.is_acyclic
-
-    def _add_conflict_edges(self, first: LocalStep, second: LocalStep) -> None:
-        history = self._history
-        for source in history.ancestors(first.execution_id, include_self=True):
-            for target in history.ancestors(second.execution_id, include_self=True):
-                if source == target:
-                    continue
-                if history.are_incomparable(source, target):
-                    self._add_edge(source, target, ("conflict", first.step_id, second.step_id))
-
-    def _add_edge(self, source: str, target: str, reason: tuple) -> None:
-        if self.graph.has_edge(source, target):
-            self.graph[source][target]["reasons"].append(reason)
-            return
-        if self.cycle_edge is None and has_path(self.graph, target, source):
-            self.cycle_edge = (source, target)
-        self.graph.add_edge(source, target, reasons=[reason])
-
-
-def local_steps_in_temporal_order(history: History) -> list[LocalStep]:
-    """A linear extension of ``<`` over the history's local steps.
-
-    Interval-backed histories sort by start instant (ties broken by step
-    id); order-pair histories fall back to a Kahn sort over the ordered
-    pairs.
-    """
-    steps = history.local_steps()
-    intervals = history.intervals()
-    if intervals is not None:
-        return sorted(
-            steps,
-            key=lambda step: (intervals.get(step.step_id, (step.step_id,))[0], step.step_id),
-        )
-    by_id = {step.step_id: step for step in steps}
-    indegree = {step_id: 0 for step_id in by_id}
-    successors: dict[int, list[int]] = {step_id: [] for step_id in by_id}
-    for first, second in history.ordered_step_pairs(steps):
-        successors[first.step_id].append(second.step_id)
-        indegree[second.step_id] += 1
-    ready = sorted(step_id for step_id, degree in indegree.items() if degree == 0)
-    ordered: list[LocalStep] = []
-    while ready:
-        current = ready.pop(0)
-        ordered.append(by_id[current])
-        for successor in successors[current]:
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                ready.append(successor)
-        ready.sort()
-    if len(ordered) != len(steps):
-        # < is cyclic among the local steps; feed the remainder in id order
-        # so the incremental builder still sees every step.
-        emitted = {step.step_id for step in ordered}
-        ordered.extend(step for step_id, step in sorted(by_id.items()) if step_id not in emitted)
-    return ordered
-
-
-def incremental_serialisation_graph(history: History, *, check: bool = False) -> IncrementalSG:
-    """Feed a recorded history through :class:`IncrementalSG`.
-
-    With ``check=True`` the resulting graph is cross-checked against the
-    legacy from-scratch builder and the cycle verdict against networkx.
-    """
-    incremental = IncrementalSG(history, check=check)
-    for step in local_steps_in_temporal_order(history):
-        incremental.add_step(step)
-    if check:
-        _assert_graphs_match(
-            incremental.graph, serialisation_graph_legacy(history), "IncrementalSG"
-        )
-    return incremental
 
 
 def is_acyclic(graph: nx.DiGraph) -> bool:

@@ -23,10 +23,8 @@ parent→children map, cached ancestor chains/sets, cached descendant
 tuples, and — for interval-backed histories — per-step-set sorted-interval
 sweeps that turn ``order_pairs`` and ordered-pair enumeration into
 ``O(n log n + k)`` binary-search scans instead of ``O(n^2)`` permutations.
-The original permutation/uncached implementations are retained as
-``order_pairs_legacy``/``precedes_legacy`` and serve as oracles for the
-``check=True`` cross-checks in :mod:`repro.core.graphs` and the property
-tests.
+The original permutation/uncached implementations serve as oracles in
+the test-suite (``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -312,23 +310,11 @@ class History:
 
         For interval-backed histories the pairs are enumerated with a
         sorted-interval sweep — ``O(n log n + k)`` for ``k`` ordered pairs —
-        instead of the quadratic permutation scan, which is retained as
-        :meth:`order_pairs_legacy` for cross-checking.
+        instead of the quadratic permutation scan.
         """
         if self._intervals is None:
             return set(self._order_pairs)
         return _interval_sweep_pairs(list(self._intervals.items()))
-
-    def order_pairs_legacy(self) -> set[tuple[int, int]]:
-        """The original ``O(n^2)`` permutation enumeration (oracle only)."""
-        if self._intervals is None:
-            return set(self._order_pairs)
-        pairs: set[tuple[int, int]] = set()
-        items = list(self._intervals.items())
-        for (first_id, (_, first_end)), (second_id, (second_start, _)) in itertools.permutations(items, 2):
-            if first_end < second_start:
-                pairs.add((first_id, second_id))
-        return pairs
 
     def precedes(self, first: Step | int, second: Step | int) -> bool:
         """``t < t'``: ``first`` completed before ``second`` was initiated."""
@@ -343,31 +329,6 @@ class History:
                 return False
             return first_interval[1] < second_interval[0]
         return second_id in self._reachable_from(first_id)
-
-    def precedes_legacy(self, first: Step | int, second: Step | int) -> bool:
-        """Uncached reference implementation of ``precedes`` (oracle only)."""
-        first_id = first.step_id if isinstance(first, Step) else int(first)
-        second_id = second.step_id if isinstance(second, Step) else int(second)
-        if first_id == second_id:
-            return False
-        if self._intervals is not None:
-            first_interval = self._intervals.get(first_id)
-            second_interval = self._intervals.get(second_id)
-            if first_interval is None or second_interval is None:
-                return False
-            return first_interval[1] < second_interval[0]
-        successors: dict[int, set[int]] = {}
-        for before, after in self._order_pairs:
-            successors.setdefault(before, set()).add(after)
-        reached: set[int] = set()
-        frontier = list(successors.get(first_id, ()))
-        while frontier:
-            current = frontier.pop()
-            if current in reached:
-                continue
-            reached.add(current)
-            frontier.extend(successors.get(current, ()))
-        return second_id in reached
 
     def _successors(self) -> dict[int, set[int]]:
         """Successor adjacency of the generating pairs (built once, cached)."""

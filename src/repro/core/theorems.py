@@ -36,8 +36,6 @@ from .graphs import (
     message_relation,
     serialisation_graph,
     sg_local,
-    sg_local_legacy,
-    sg_mesg_legacy,
 )
 from .history import History
 from .operations import LocalStep, MessageStep, Step
@@ -317,32 +315,24 @@ class Theorem5Report:
         return self.holds
 
 
-def theorem_5_conditions(history: History, *, legacy: bool = False) -> Theorem5Report:
+def theorem_5_conditions(history: History) -> Theorem5Report:
     """Evaluate conditions (a) and (b) of Theorem 5.
 
     (a) for every object ``o``, ``SG_local(h, o) union SG_mesg(h, o)`` is
         acyclic; (b) for every execution ``e`` the message relation ``->_e``
         is acyclic.  When both hold the history is serialisable.
 
-    The default path builds every ``SG_local`` exactly once and shares the
-    collection across all the per-object combined graphs (the legacy path
-    rebuilt each local graph once per object — quadratic in the number of
-    objects); ``legacy=True`` keeps the original from-scratch builders for
-    benchmarking and oracle cross-checks.
+    Every ``SG_local`` is built exactly once and the collection is shared
+    across all the per-object combined graphs (rebuilding each local graph
+    once per object would be quadratic in the number of objects).
     """
     cyclic_objects: list[str] = []
     object_names = {execution.object_name for execution in history.executions.values()}
-    if legacy:
-        for object_name in sorted(object_names):
-            combined = _combined_object_graph_legacy(history, object_name)
-            if not is_acyclic(combined):
-                cyclic_objects.append(object_name)
-    else:
-        local_graphs = {object_name: sg_local(history, object_name) for object_name in object_names}
-        for object_name in sorted(object_names):
-            combined = combined_object_graph(history, object_name, local_graphs=local_graphs)
-            if not is_acyclic(combined):
-                cyclic_objects.append(object_name)
+    local_graphs = {object_name: sg_local(history, object_name) for object_name in object_names}
+    for object_name in sorted(object_names):
+        combined = combined_object_graph(history, object_name, local_graphs=local_graphs)
+        if not is_acyclic(combined):
+            cyclic_objects.append(object_name)
 
     cyclic_executions: list[str] = []
     for execution_id in sorted(history.execution_ids()):
@@ -351,18 +341,6 @@ def theorem_5_conditions(history: History, *, legacy: bool = False) -> Theorem5R
 
     holds = not cyclic_objects and not cyclic_executions
     return Theorem5Report(holds, cyclic_objects, cyclic_executions)
-
-
-def _combined_object_graph_legacy(history: History, object_name: str) -> nx.DiGraph:
-    """Theorem 5(a) graph built with the legacy from-scratch builders."""
-    combined = nx.DiGraph()
-    local_graph = sg_local_legacy(history, object_name)
-    mesg_graph = sg_mesg_legacy(history, object_name)
-    combined.add_nodes_from(local_graph.nodes)
-    combined.add_nodes_from(mesg_graph.nodes)
-    combined.add_edges_from(local_graph.edges)
-    combined.add_edges_from(mesg_graph.edges)
-    return combined
 
 
 # ---------------------------------------------------------------------------

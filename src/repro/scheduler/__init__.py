@@ -86,9 +86,9 @@ SCHEDULER_FACTORIES: dict[str, Callable[..., Scheduler]] = {
     "single-active": lambda restart_policy=IMMEDIATE_RESTART: SingleActiveObjectScheduler(
         restart_policy=restart_policy
     ),
-    "certifier": lambda level=STEP_LEVEL, check=False, restart_policy=IMMEDIATE_RESTART,
+    "certifier": lambda level=STEP_LEVEL, restart_policy=IMMEDIATE_RESTART,
     gate_mode=CASCADE_MODE: OptimisticCertifier(
-        level=level, check=check, restart_policy=restart_policy, gate_mode=gate_mode
+        level=level, restart_policy=restart_policy, gate_mode=gate_mode
     ),
     "modular": lambda default_strategy="locking", per_object_strategy=None,
     inter_object_checks=True, level=STEP_LEVEL, restart_policy=IMMEDIATE_RESTART,

@@ -9,16 +9,12 @@ transactions)``, and the graph's edges are reference-counted sums of those
 records.  Parking and unparking a waiter are O(holders) updates — nothing
 is recomputed per lock request — and several executions of the same
 transaction can wait simultaneously (parallel siblings) without clobbering
-one another's edges, which the old replace-the-out-edge-set interface
-could not express.
+one another's edges.  ``remove_transaction`` retires a finished
+transaction both as a waiter and as a holder.
 
 A cycle (including the degenerate self-loop produced when two sibling
 executions of the same transaction block each other) means no further
 progress is possible and a victim must be aborted.
-
-The legacy ``set_waits``/``clear_waits`` interface is kept as a thin layer
-over the table (one record keyed by the waiter itself) for callers that
-track at most one wait per transaction.
 """
 
 from __future__ import annotations
@@ -94,23 +90,6 @@ class WaitsForGraph:
     def parked_keys(self, waiter: str) -> set[str]:
         """The record keys currently parked on behalf of ``waiter``."""
         return set(self._keys_by_waiter.get(waiter, ()))
-
-    # -- legacy single-record interface ------------------------------------------
-
-    def set_waits(self, waiter: str, holders: set[str]) -> None:
-        """Replace the single record keyed by ``waiter`` with the holder set.
-
-        Self-loops are kept: a transaction whose sibling executions wait on
-        one another is just as stuck as a cross-transaction cycle.
-        """
-        if holders:
-            self.park(waiter, waiter, holders)
-        else:
-            self.unpark(waiter)
-
-    def clear_waits(self, waiter: str) -> None:
-        """Remove the record keyed by ``waiter``."""
-        self.unpark(waiter)
 
     # -- transaction life cycle ---------------------------------------------------
 

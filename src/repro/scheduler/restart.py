@@ -12,8 +12,8 @@ as :class:`ImmediateRestart`).
 A :class:`RestartPolicy` decides, per abort, how many ticks to wait before
 the transaction is resubmitted.  The engine delegates its abort/respawn
 path to the scheduler's policy and realises positive delays as *delayed
-restarts* on its unified event heap (drained by
-:meth:`~repro.simulation.engine.SimulationEngine._release_due_events`),
+restarts* on its unified event heap (released at the top of every
+iteration of :meth:`~repro.simulation.engine.SimulationEngine._run_event_loop`),
 so a waiting transaction consumes no scheduling decisions — the delay
 shows up as makespan, not as polling.
 

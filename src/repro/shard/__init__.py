@@ -16,10 +16,12 @@ from .engine import (
     ShardedRunResult,
 )
 from .map import ShardMap
+from .participant import ParticipantEngine
 
 __all__ = [
     "DEFAULT_ROUND_TICKS",
     "InterShardCoordinator",
+    "ParticipantEngine",
     "ShardMap",
     "ShardOutcome",
     "ShardReport",

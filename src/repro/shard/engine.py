@@ -1,11 +1,13 @@
 """Sharded execution: one engine per shard, coordinated at tick barriers.
 
 The :class:`ShardedEngine` partitions the object space with a
-:class:`~repro.shard.map.ShardMap` and runs one complete
-:class:`~repro.simulation.engine.SimulationEngine` — scheduler, undo
-log, history builder and all — per shard.  Shards advance in lock-step
-*tick rounds*: every round the driver ships the coordinator's directives
-to each shard, each shard runs its event loop up to the shared horizon,
+:class:`~repro.shard.map.ShardMap` and runs one complete engine — a
+:class:`~repro.shard.participant.ParticipantEngine`, the plain
+:class:`~repro.simulation.engine.SimulationEngine` plus the shard
+protocol, with its own scheduler, undo log and history builder — per
+shard.  Shards advance in lock-step *tick rounds*: every round the
+driver ships the coordinator's directives to each shard, each shard runs
+its event loop up to the shared horizon,
 and the barrier collects outgoing messages (remote invocations, results)
 and lifecycle notes (prepared, aborted, votes) into an
 :class:`~repro.shard.coordinator.InterShardCoordinator` that decides the
@@ -55,6 +57,7 @@ from ..simulation.workloads import make_workload
 from ..sweep.spec import ScenarioSpec
 from .coordinator import InterShardCoordinator, ShardReport, ShardStepTracker
 from .map import ShardMap
+from .participant import ParticipantEngine
 
 __all__ = [
     "ShardWorker",
@@ -126,17 +129,18 @@ class ShardWorker:
                 "per_object_strategy", workload.modular_strategy_map()
             )
         scheduler = make_scheduler(spec.scheduler, **scheduler_kwargs)
-        engine = SimulationEngine(
-            object_base, scheduler, seed=spec.seed, **dict(spec.engine_params)
-        )
         names = frozenset(object_base.object_names())
         tracker = ShardStepTracker(object_base.conflicts("step"))
-        engine.bind_shard_runtime(
+        engine = ParticipantEngine(
+            object_base,
+            scheduler,
             index=index,
             count=shard_map.shards,
             owns=lambda object_name: shard_map.shard_of(object_name) == index,
             classify=lambda txn_spec: shard_map.is_cross(txn_spec, names),
             tracker=tracker,
+            seed=spec.seed,
+            **dict(spec.engine_params),
         )
         specs = [
             entry if isinstance(entry, TransactionSpec) else TransactionSpec(entry, ())
@@ -165,7 +169,7 @@ class ShardWorker:
                     if shard_map.home_of(txn_spec, names) == index
                 ]
             )
-        engine.begin_shard_run()
+        engine.begin()
         self.index = index
         self.engine = engine
         self.tracker = tracker
@@ -194,9 +198,9 @@ class ShardWorker:
                 # Aborted work constrains nobody; drop its records now.
                 self.tracker.forget(directive[1])
             engine_directives.append(directive)
-        engine.apply_shard_directives(engine_directives)
-        decisions = engine.run_shard_round(horizon)
-        notes = engine.drain_shard_notes()
+        engine.apply_directives(engine_directives)
+        decisions = engine.run_round(horizon)
+        notes = engine.drain_notes()
         for note in notes:
             if note[0] == "aborted":
                 self.tracker.forget(note[1])
@@ -204,15 +208,15 @@ class ShardWorker:
             index=self.index,
             decisions=decisions,
             tick=engine._tick,
-            busy=engine.shard_pending(),
-            messages=engine.drain_shard_outbox(),
+            busy=engine.pending(),
+            messages=engine.drain_outbox(),
             notes=notes,
             edges=self.tracker.drain_edges(),
         )
 
     def finalize(self) -> dict[str, Any]:
         """Close the run and flatten the outcome to plain picklable data."""
-        result = self.engine.finalize_shard()
+        result = self.engine.finalize()
         payload: dict[str, Any] = {
             "index": self.index,
             "metrics": result.metrics,

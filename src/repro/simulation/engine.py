@@ -33,16 +33,15 @@ Execution model
   the transaction's first step on it and the surviving steps since are
   re-applied — and the transaction is resubmitted (up to ``max_restarts``
   times) as a fresh execution.  The cost is proportional to the aborted
-  subtree's footprint, not the length of the whole run; the legacy
-  full-replay strategy is kept (``undo="replay"``) for benchmarking, and
-  ``check_undo=True`` runs both and verifies they agree after every abort.
+  subtree's footprint, not the length of the whole run.
 * *When* an aborted transaction is resubmitted is decided by the
   scheduler's :class:`~repro.scheduler.restart.RestartPolicy`: a zero
   delay restarts within the same tick (the ``immediate`` policy — the
   classic storm-prone behaviour), a positive delay puts the restart on
   the engine's *event heap*, a min-heap keyed by due tick that also
-  carries streamed arrivals.  Due events are released at the top of
-  every scheduling iteration; a waiting restart consumes no ticks, and
+  carries streamed arrivals and fault-plan crashes.  Due events are
+  released at the top of every scheduling iteration; a waiting restart
+  consumes no ticks, and
   when nothing is runnable but an event is pending the engine
   fast-forwards the clock to the heap's next due tick instead of
   force-waking parked frames.  The transaction's *lineage* (its
@@ -56,13 +55,12 @@ Hot loop
 Choosing the next runnable frame is O(1): the engine maintains a *ready
 list* of ``(creation sequence, frame)`` pairs, updated at every status
 transition (spawn, park, wake, wait, retire), that is always sorted by
-frame-creation order — exactly the iteration order of the frame table
-that the original per-tick scan observed, so decisions (and the RNG draw
-sequence) are bit-identical to the scan implementation.  The scan
-strategy is retained as ``hot_loop="scan"`` and serves as the oracle in
-the bit-identity property tests and as the in-run reference point for
-``benchmarks/bench_e16_hot_loop.py``'s machine-independent speedup
-ratio.
+frame-creation order — the iteration order of the frame table — so the
+seeded choice draws from a deterministic candidate sequence.  There is
+one scheduling loop, :meth:`SimulationEngine._run_event_loop`, run up to
+a tick horizon: a plain run passes ``max_ticks``; a subclass that runs
+one partition of a distributed run advances it in rounds and overrides
+the single idle-path hook, :meth:`SimulationEngine._stalled_on_remote_work`.
 
 The recorded history contains the steps of aborted attempts as well; the
 :class:`~repro.simulation.metrics.RunResult` exposes the committed
@@ -80,10 +78,10 @@ from typing import Any
 
 from ..core.errors import SimulationError
 from ..core.history import HistoryBuilder
-from ..core.operations import LocalOperation, LocalStep
+from ..core.operations import LocalStep
 from ..core.state import ObjectState, UndoLog
 from ..objectbase.base import ObjectBase
-from ..scheduler.base import ExecutionInfo, OperationRequest, Scheduler, SchedulerResponse
+from ..scheduler.base import ExecutionInfo, OperationRequest, Scheduler
 from ..scheduler.restart import ImmediateRestart, RestartPolicy
 from .arrivals import ArrivalProcess, make_arrival_process
 from .events import (
@@ -120,12 +118,6 @@ _DONE = "done"
 # ObjectState is immutable, so one shared empty state serves every
 # object the run never initialised (instead of allocating per lookup).
 _EMPTY_STATE = ObjectState()
-
-INCREMENTAL_UNDO = "incremental"
-REPLAY_UNDO = "replay"
-
-EVENT_LOOP = "event"
-SCAN_LOOP = "scan"
 
 #: ``certify="stream"`` — maintain the certification verdict online via
 #: :class:`~repro.analysis.streaming.StreamingCertifier` (the only engine
@@ -167,72 +159,10 @@ class _Frame:
     #: Whether ``generator`` is an actual generator (vs a plain return
     #: value) — detected once at creation, not re-probed per advance.
     is_generator: bool = False
-    #: Set on children spawned on behalf of a *remote* shard: the message
-    #: identifier whose result travels back to the requesting shard when
-    #: this frame completes.  ``None`` on every frame of a plain run.
-    shard_remote_id: str | None = None
 
     @property
     def execution_id(self) -> str:
         return self.info.execution_id
-
-
-@dataclass(slots=True)
-class _StepLogEntry:
-    """A local step kept (only) for the full-replay undo strategy."""
-
-    execution_id: str
-    top_level_id: str
-    object_name: str
-    operation: LocalOperation
-
-
-def _proxy_session_marker():  # pragma: no cover - never advanced
-    """Placeholder body for remote-session roots (driven imperatively)."""
-
-
-@dataclass(slots=True)
-class _ShardRuntime:
-    """Per-shard execution state when the engine runs as one shard of many.
-
-    Bound by :meth:`SimulationEngine.bind_shard_runtime`; ``None`` on plain
-    engines, so every shard-mode check on the hot paths is a single
-    attribute test.  The shard driver (:mod:`repro.shard`) owns the message
-    transport; the engine only fills ``outbox``/``notes`` and consumes
-    directives between tick rounds.
-    """
-
-    index: int
-    count: int
-    #: ``owns(object_name) -> bool`` — does this shard hold the object?
-    owns: Any
-    #: ``classify(spec) -> bool`` — does the spec touch foreign objects?
-    #: (Advisory: a missed classification is repaired at the first actual
-    #: remote invoke; see :meth:`SimulationEngine._send_remote_invoke`.)
-    classify: Any
-    #: Optional conflict observer fed every executed step of cross-shard
-    #: transactions (``note_step(info, step)``), for the inter-shard
-    #: coordinator's precedence graph.
-    tracker: Any = None
-    #: Execution-id namespace (``"s<i>:"``); empty at ``count == 1`` so a
-    #: single-shard run is bit-identical to the plain engine.
-    id_prefix: str = ""
-    txn_counter: Any = None
-    remote_counter: Any = None
-    #: Home-side: top-level ids known (or discovered) to be cross-shard.
-    cross: set[str] = field(default_factory=set)
-    #: Home-side: prepared root frames awaiting the global commit decision.
-    held: dict[str, "_Frame"] = field(default_factory=dict)
-    #: Owner-side: one *session* root per foreign transaction, carrying the
-    #: foreign top-level id as its own execution id so the local scheduler
-    #: sees a perfectly ordinary nested transaction.
-    sessions: dict[str, "_Frame"] = field(default_factory=dict)
-    #: remote message id -> local frame waiting on its result.
-    waiters: dict[str, str] = field(default_factory=dict)
-    #: Outgoing messages for the coordinator, drained at the tick barrier.
-    outbox: list[tuple] = field(default_factory=list)
-    #: Outgoing lifecycle notes (prepared / aborted / vote results).
-    notes: list[tuple] = field(default_factory=list)
 
 
 class SimulationEngine:
@@ -269,15 +199,6 @@ class SimulationEngine:
         conflict_level_for_history: granularity of the conflict relation
             stored on the recorded history (``"step"`` or
             ``"operation"``).
-        hot_loop: frame-choice strategy — ``"event"`` (the default: O(1)
-            choice from the maintained ready list) or ``"scan"`` (the
-            legacy per-tick scan over the frame table, kept as the
-            bit-identity oracle and benchmark reference).  Both produce
-            identical runs; they differ only in speed.
-        undo: abort repair strategy — ``"incremental"`` (per-transaction
-            undo segments) or ``"replay"`` (legacy full-history replay).
-        check_undo: run both strategies after every abort and raise on
-            divergence (testing aid).
         gc_interval: live-state garbage collection cadence, in finished
             transaction attempts (commits plus aborts) between passes.
             Each pass prunes the committed prefix of the undo log, asks
@@ -288,8 +209,8 @@ class SimulationEngine:
             total arrival count.
 
     Raises:
-        SimulationError: on an unknown ``scheduling``, ``undo`` or
-            ``hot_loop`` value, or a non-positive ``gc_interval``.
+        SimulationError: on an unknown ``scheduling`` or ``certify``
+            value, or a non-positive ``gc_interval``.
     """
 
     def __init__(
@@ -304,19 +225,12 @@ class SimulationEngine:
         max_ticks: int = 2_000_000,
         record_trace: bool = False,
         conflict_level_for_history: str = "step",
-        undo: str = INCREMENTAL_UNDO,
-        check_undo: bool = False,
         gc_interval: int = 64,
-        hot_loop: str = EVENT_LOOP,
         certify: bool | str = False,
         fault_plan: "FaultPlan | str | dict | None" = None,
     ):
         if scheduling not in ("random", "round-robin"):
             raise SimulationError(f"unknown scheduling policy {scheduling!r}")
-        if undo not in (INCREMENTAL_UNDO, REPLAY_UNDO):
-            raise SimulationError(f"unknown undo strategy {undo!r}")
-        if hot_loop not in (EVENT_LOOP, SCAN_LOOP):
-            raise SimulationError(f"unknown hot_loop strategy {hot_loop!r}")
         if gc_interval < 1:
             raise SimulationError(f"gc_interval must be >= 1, got {gc_interval}")
         if certify not in (False, STREAM_CERTIFY):
@@ -334,9 +248,6 @@ class SimulationEngine:
         self.starvation_limit = starvation_limit
         self.max_ticks = max_ticks
         self.record_trace = record_trace
-        self.undo = undo
-        self.check_undo = check_undo
-        self.hot_loop = hot_loop
         self._trace = Trace() if record_trace else None
 
         self._builder = HistoryBuilder(
@@ -367,11 +278,6 @@ class SimulationEngine:
         self._ready: list[tuple[int, _Frame]] = []
         self._parked_count = 0
         self._undo_log = UndoLog()
-        # The append-only global step log is only needed when the full-replay
-        # strategy (or its equivalence check) is active.
-        self._full_log: list[_StepLogEntry] | None = (
-            [] if undo == REPLAY_UNDO or check_undo else None
-        )
         self._aborted_executions: set[str] = set()
         self._committed: list[str] = []
         self._pending_specs: list[TransactionSpec] = []
@@ -418,9 +324,6 @@ class SimulationEngine:
         self.metrics = RunMetrics()
         self._tick = 0
         self._finished = False
-        # Sharded execution state; None on plain engines (the hot paths
-        # test this single attribute).  Bound via bind_shard_runtime.
-        self._shard: _ShardRuntime | None = None
 
         self.scheduler.attach(object_base)
         # The scheduler transports the restart policy as configuration; the
@@ -508,10 +411,10 @@ class SimulationEngine:
     def submit_scheduled(self, pairs) -> None:
         """Queue ``(arrival_tick, spec)`` pairs with pre-computed due ticks.
 
-        The sharded driver computes one global arrival schedule and splits
-        it by home shard; each shard's engine receives its slice with the
-        *absolute* ticks, so the merged run observes the same schedule the
-        plain engine would have drawn.  Ticks must be non-decreasing in
+        A driver that partitions one workload over several engines computes
+        one global arrival schedule and hands each engine its slice with
+        the *absolute* ticks, so the merged run observes the same schedule
+        a single engine would have drawn.  Ticks must be non-decreasing in
         ``pairs`` order (the order the shared schedule was drawn in).
 
         Raises:
@@ -551,20 +454,20 @@ class SimulationEngine:
             SimulationError: when called twice (engines are single-use) or
                 when a transaction programme itself raises.
         """
+        self._admit_pending()
+        self._run_event_loop(self.max_ticks)
+        return self._finalise_run()
+
+    def _admit_pending(self) -> None:
+        """Admit the closed-batch submissions (a run's first act)."""
         if self._finished:
             raise SimulationError("engine instances are single-use; create a new one")
         for spec in self._pending_specs:
             self._admit(spec)
         self._pending_specs = []
 
-        if self.hot_loop == SCAN_LOOP:
-            self._run_scan_loop()
-        else:
-            self._run_event_loop()
-        return self._finalise_run()
-
     def _finalise_run(self) -> RunResult:
-        """Close the run and build its result (shared with shard finalize)."""
+        """Close the run and build its result."""
         self.metrics.total_ticks = self._tick
         self._check_arrival_truncation()
 
@@ -597,195 +500,21 @@ class SimulationEngine:
             ),
         )
 
-    def _run_event_loop(self) -> None:
-        """The default hot loop: O(1) frame choice, single event heap.
+    def _run_event_loop(self, horizon: int) -> int:
+        """The scheduling loop: advance until ``horizon`` or until no work is left.
 
-        Per decision this touches the ready list tail (or one RNG draw),
-        the heap head and the frame generator — no per-tick scans and no
-        per-tick allocations.  Hot attributes are bound to locals once;
-        decisions are accumulated locally and flushed to the metrics when
-        the loop exits.
-        """
-        frames = self._frames
-        events = self._events
-        ready = self._ready
-        metrics = self.metrics
-        heappop = heapq.heappop
-        rng_choice = self.rng.choice
-        random_scheduling = self.scheduling == "random"
-        max_ticks = self.max_ticks
-        decisions = 0
-        try:
-            while (frames or events) and self._tick < max_ticks:
-                tick = self._tick
-                while events and events[0][0] <= tick:
-                    due, kind, _, payload = heappop(events)
-                    if kind == _EVENT_RESTART:
-                        spec, attempt, lineage = payload
-                        metrics.restarts += 1
-                        self._start_transaction(spec, attempt=attempt, lineage=lineage)
-                    elif kind == _EVENT_FAULT:
-                        self._inject_fault(due)
-                    else:
-                        metrics.submitted += 1
-                        metrics.arrived += 1
-                        self._admit(payload, arrival_tick=due)
-                if ready:
-                    if random_scheduling:
-                        frame = rng_choice(ready)[1]
-                    else:
-                        index = self._round_robin_cursor % len(ready)
-                        self._round_robin_cursor = index + 1
-                        frame = ready[index][1]
-                    self._tick = tick + 1
-                    decisions += 1
-                    self._advance(frame)
-                    continue
-                if events:
-                    # Nothing is runnable until the next event matures:
-                    # fast-forward the clock to its due tick (the wait
-                    # costs time, not scheduling decisions), clamped to
-                    # the tick budget so a truncated run never reports a
-                    # makespan beyond max_ticks.
-                    self._tick = min(events[0][0], max_ticks)
-                    continue
-                # No runnable frame and no pending event.  If frames are
-                # parked, a wake-up was missed (a scheduler bug) or the
-                # wait cannot resolve; force a retry round rather than
-                # dropping the transactions.
-                if not self._force_wake_all():
-                    break
-        finally:
-            metrics.decisions += decisions
-
-    def _run_scan_loop(self) -> None:
-        """The legacy hot loop: a frame scan per tick (``hot_loop="scan"``).
-
-        Kept as the bit-identity oracle for the ready list and as the
-        in-run reference the E16 benchmark measures its speedup against.
-        Event release and fast-forward share the unified heap.
-        """
-        while (self._frames or self._events) and self._tick < self.max_ticks:
-            self._release_due_events()
-            frame = self._choose_frame_scan()
-            if frame is None:
-                if self._events:
-                    self._tick = min(self._events[0][0], self.max_ticks)
-                    continue
-                if not self._force_wake_all():
-                    break
-                continue
-            self._tick += 1
-            self.metrics.decisions += 1
-            self._advance(frame)
-
-    def _release_due_events(self) -> None:
-        """Release every queued restart/arrival whose due tick was reached."""
-        events = self._events
-        tick = self._tick
-        while events and events[0][0] <= tick:
-            due, kind, _, payload = heapq.heappop(events)
-            if kind == _EVENT_RESTART:
-                spec, attempt, lineage = payload
-                self.metrics.restarts += 1
-                self._start_transaction(spec, attempt=attempt, lineage=lineage)
-            elif kind == _EVENT_FAULT:
-                self._inject_fault(due)
-            else:
-                self.metrics.submitted += 1
-                self.metrics.arrived += 1
-                self._admit(payload, arrival_tick=due)
-
-    # ------------------------------------------------------------------
-    # sharded execution (driven by repro.shard)
-    # ------------------------------------------------------------------
-    #
-    # A sharded run partitions the object space across engines, one full
-    # engine (+ scheduler) per shard.  Shards advance in lock-step *tick
-    # rounds*: each round the driver applies the coordinator's directives
-    # (remote admissions, results, votes, global commit/abort decisions),
-    # runs the event loop up to a common horizon, then drains the shard's
-    # outbox/notes for the coordinator.  All cross-shard interaction
-    # happens at these barriers, so a sharded run is a pure function of
-    # (spec, shard map, seed) regardless of transport — in-process and
-    # multiprocess execution are bit-identical.
-    #
-    # Cross-shard transactions follow the paper's modular recipe one level
-    # up: on its home shard the transaction runs normally until commit,
-    # which is *held* for a two-phase decision; on every other shard its
-    # remote invokes run under a local *session* root that carries the
-    # foreign top-level id, so the owner's scheduler synchronises it like
-    # any ordinary nested transaction (locks, timestamps and commit gates
-    # all key by that id), and the session's locks are retained until the
-    # coordinator's global decision.
-
-    def bind_shard_runtime(
-        self,
-        *,
-        index: int,
-        count: int,
-        owns,
-        classify,
-        tracker=None,
-    ) -> None:
-        """Run this engine as shard ``index`` of ``count``.
-
-        Must be called before any work ran.  ``owns(object_name)`` says
-        whether this shard holds the object; ``classify(spec)`` whether a
-        submitted transaction may touch foreign objects (advisory — a
-        missed classification is repaired at the first actual remote
-        invoke); ``tracker`` optionally observes every executed step of
-        cross-shard transactions for the coordinator's precedence graph.
-
-        Raises:
-            SimulationError: when the engine already ran, uses the scan
-                loop, or certifies online (per-shard certification happens
-                post-hoc in the shard worker instead).
-        """
-        if self._finished or self._tick or self._frames:
-            raise SimulationError("bind_shard_runtime must precede the run")
-        if self.hot_loop != EVENT_LOOP:
-            raise SimulationError("sharded execution requires hot_loop='event'")
-        if self._certifier is not None:
-            raise SimulationError(
-                "sharded engines cannot certify online; certify each shard's "
-                "RunResult post-hoc in the shard worker instead"
-            )
-        self._shard = _ShardRuntime(
-            index=index,
-            count=count,
-            owns=owns,
-            classify=classify,
-            tracker=tracker,
-            id_prefix=f"s{index}:" if count > 1 else "",
-            txn_counter=itertools.count(1),
-            remote_counter=itertools.count(1),
-        )
-
-    def begin_shard_run(self) -> None:
-        """Admit the pending closed-batch submissions (mirrors :meth:`run`)."""
-        if self._finished:
-            raise SimulationError("engine instances are single-use; create a new one")
-        for spec in self._pending_specs:
-            self._admit(spec)
-        self._pending_specs = []
-
-    def run_shard_round(self, horizon: int) -> int:
-        """Advance the event loop until ``horizon`` (or a cross-shard stall).
-
-        The body mirrors :meth:`_run_event_loop` with the tick budget
-        clamped to the round horizon, plus one extra stall rule: when
-        nothing is runnable, no event is pending and the shard is waiting
-        on cross-shard state (remote results, held commits, open
-        sessions), the round ends — resolution arrives as directives at a
-        later barrier.  Idle gaps within the round fast-forward exactly as
-        in a plain run, so a single-shard round sequence reproduces the
-        plain engine's clock bit for bit.
+        Each iteration releases the due events (restarts, arrivals, fault
+        crashes) and then either advances one ready frame — an O(1) choice
+        from the ready list or one RNG draw — or, when nothing is ready,
+        fast-forwards the clock to the next event (the wait costs time,
+        not decisions), clamped to the horizon so a truncated run never
+        reports a makespan beyond it.  Hot attributes are bound to locals
+        once; decisions are accumulated locally and flushed to the metrics
+        when the loop exits.
 
         Returns:
-            The number of scheduling decisions made this round.
+            The number of scheduling decisions made.
         """
-        shard = self._shard
         frames = self._frames
         events = self._events
         ready = self._ready
@@ -822,302 +551,30 @@ class SimulationEngine:
                     self._advance(frame)
                     continue
                 if events:
-                    due = events[0][0]
-                    if due >= horizon:
-                        self._tick = horizon
-                        break
-                    self._tick = due
+                    self._tick = min(events[0][0], horizon)
                     continue
-                if shard.waiters or shard.held or shard.sessions:
-                    # Blocked on the barrier: a directive (remote result,
-                    # global decision) must arrive before progress resumes.
+                # No runnable frame and no pending event.
+                if self._stalled_on_remote_work():
                     break
+                # If frames are parked, a wake-up was missed (a scheduler
+                # bug) or the wait cannot resolve; force a retry round
+                # rather than dropping the transactions.
                 if not self._force_wake_all():
                     break
         finally:
             metrics.decisions += decisions
         return decisions
 
-    def apply_shard_directives(self, directives) -> None:
-        """Apply one round's coordinator directives, in order.
+    def _stalled_on_remote_work(self) -> bool:
+        """Whether idle frames wait on work outside this engine.
 
-        Directive tuples: ``("invoke", remote_id, gid, object, method,
-        args)`` admits a remote invocation; ``("result", remote_id,
-        value)`` delivers a remote result; ``("vote", gid)`` asks the local
-        scheduler's commit vote (answered via a ``("vote", gid, verdict,
-        reason)`` note); ``("commit", gid)`` / ``("abort", gid, reason)``
-        apply the coordinator's global decision.
+        Consulted only on the idle path (nothing ready, no event due).
+        A plain engine owns all of its work, so it never stalls; a
+        subclass running one partition of a distributed run returns true
+        while remote results or global decisions are outstanding, ending
+        its round so they can arrive at the next barrier.
         """
-        for directive in directives:
-            kind = directive[0]
-            if kind == "invoke":
-                _, remote_id, gid, object_name, method_name, arguments = directive
-                self.admit_remote(gid, remote_id, object_name, method_name, arguments)
-            elif kind == "result":
-                self.deliver_remote_result(directive[1], directive[2])
-            elif kind == "vote":
-                gid = directive[1]
-                verdict, reason = self.commit_vote(gid)
-                self._shard.notes.append(("vote", gid, verdict, reason))
-            elif kind == "commit":
-                self.apply_global_commit(directive[1])
-            elif kind == "abort":
-                self.apply_global_abort(directive[1], directive[2])
-            else:
-                raise SimulationError(f"unknown shard directive {directive!r}")
-
-    def drain_shard_outbox(self) -> list[tuple]:
-        """The messages queued since the last barrier (clears the outbox)."""
-        shard = self._shard
-        messages, shard.outbox = shard.outbox, []
-        return messages
-
-    def drain_shard_notes(self) -> list[tuple]:
-        """The lifecycle notes queued since the last barrier (clears them)."""
-        shard = self._shard
-        notes, shard.notes = shard.notes, []
-        return notes
-
-    def shard_pending(self) -> bool:
-        """Whether this shard still holds live work or barrier state."""
-        shard = self._shard
-        return bool(self._frames or self._events or shard.waiters or shard.held)
-
-    def finalize_shard(self) -> RunResult:
-        """Close the shard's run once the driver declares the fleet done."""
-        return self._finalise_run()
-
-    def _send_remote_invoke(self, frame: _Frame, invocation: InvokeRequest) -> str:
-        """Queue a foreign-object invocation for the owning shard."""
-        shard = self._shard
-        gid = frame.info.top_level_id
-        # Safety net for imprecise classifiers: the id is cross-shard from
-        # the first remote invoke on, whatever classify() said at submit.
-        shard.cross.add(gid)
-        remote_id = f"{gid}/r{next(shard.remote_counter)}"
-        shard.waiters[remote_id] = frame.execution_id
-        shard.outbox.append(
-            (
-                "invoke",
-                remote_id,
-                gid,
-                invocation.object_name,
-                invocation.method_name,
-                invocation.arguments,
-            )
-        )
-        self.metrics.remote_invocations += 1
-        self._record(
-            INVOKE, remote_id, invocation.object_name, invocation.method_name
-        )
-        return remote_id
-
-    def _spawn_mixed_parallel(self, frame: _Frame, request: ParallelRequest) -> None:
-        """A parallel request whose branches span shards."""
-        shard = self._shard
-        existing_steps = list(frame.execution.step_ids())
-        waiting: set[str] = set()
-        order: list[str] = []
-        for invocation in request.invocations:
-            if shard.owns(invocation.object_name):
-                child = self._spawn_child(frame, invocation, after=existing_steps)
-                waiting.add(child.execution_id)
-                order.append(child.execution_id)
-            else:
-                remote_id = self._send_remote_invoke(frame, invocation)
-                waiting.add(remote_id)
-                order.append(remote_id)
-        self._set_not_ready(frame, _WAITING)
-        frame.waiting_on = waiting
-        frame.parallel_order = order
-        frame.parallel_results = {}
-
-    def deliver_remote_result(self, remote_id: str, value: Any) -> None:
-        """A remote invocation's result arrived (stale ids are dropped)."""
-        shard = self._shard
-        frame_id = shard.waiters.pop(remote_id, None)
-        if frame_id is None:
-            return
-        frame = self._frames.get(frame_id)
-        if frame is None or frame.status != _WAITING or remote_id not in frame.waiting_on:
-            return
-        frame.waiting_on.discard(remote_id)
-        if frame.parallel_order:
-            frame.parallel_results[remote_id] = value
-            if not frame.waiting_on:
-                frame.inbox = [
-                    frame.parallel_results.get(child_id)
-                    for child_id in frame.parallel_order
-                ]
-                frame.parallel_order = []
-                frame.parallel_results = {}
-                self._set_ready(frame)
-        elif not frame.waiting_on:
-            frame.inbox = value
-            self._set_ready(frame)
-
-    def admit_remote(
-        self,
-        gid: str,
-        remote_id: str,
-        object_name: str,
-        method_name: str,
-        arguments: tuple,
-    ) -> None:
-        """Run a foreign transaction's invocation under a local session root.
-
-        The first invocation for ``gid`` opens the session: an inert
-        top-level frame whose execution id *is* the foreign id, so to the
-        local scheduler the remote work is an ordinary nested transaction
-        (begin, lock inheritance, commit gate and garbage collection all
-        key by ``gid`` exactly as on the home shard).  Each invocation is
-        spawned as a child of that root; the root itself never becomes
-        runnable and is resolved only by the coordinator's global decision.
-        """
-        shard = self._shard
-        if gid in self._aborted_executions:
-            return  # raced with a local abort; the coordinator re-relays
-        session = shard.sessions.get(gid)
-        if session is None:
-            execution = self._builder.begin_top_level(
-                "remote-session", execution_id=gid
-            )
-            info = ExecutionInfo(
-                execution_id=gid,
-                object_name=self.object_base.environment.name,
-                method_name="remote-session",
-                parent_id=None,
-                ancestor_ids=(),
-                top_level_id=gid,
-            )
-            session = _Frame(
-                info=info,
-                execution=execution,
-                generator=_proxy_session_marker,
-                status=_WAITING,
-                seq=next(self._frame_sequence),
-            )
-            self._frames[gid] = session
-            self._executions_by_transaction[gid] = {gid}
-            shard.sessions[gid] = session
-            self.scheduler.on_transaction_begin(info)
-            self._record(BEGIN, gid, detail="remote session")
-        child = self._spawn_child(
-            session,
-            InvokeRequest(object_name, method_name, tuple(arguments)),
-            after=None,
-        )
-        child.shard_remote_id = remote_id
-        session.waiting_on.add(child.execution_id)
-
-    def _hold_commit(self, frame: _Frame, return_value: Any) -> None:
-        """Park a prepared cross-shard root until the global decision."""
-        shard = self._shard
-        self._set_not_ready(frame, _WAITING)
-        frame.pending_commit = True
-        frame.commit_value = return_value
-        shard.held[frame.execution_id] = frame
-        shard.notes.append(("prepared", frame.execution_id))
-        self._record(
-            BLOCKED, frame.execution_id, detail="prepared: awaiting global commit"
-        )
-
-    def commit_vote(self, gid: str) -> tuple[str, str]:
-        """This shard's two-phase vote on ``gid``: commit, defer or abort."""
-        shard = self._shard
-        frame = shard.held.get(gid) or shard.sessions.get(gid)
-        if frame is None:
-            return ("abort", "transaction unknown on this shard")
-        response = self.scheduler.on_commit_request(frame.info)
-        if response.blocked:
-            return ("defer", response.reason or "commit deferred")
-        if not response.granted:
-            return ("abort", response.reason or "commit vetoed")
-        return ("commit", "")
-
-    def apply_global_commit(self, gid: str) -> None:
-        """The coordinator decided commit: finalise the local share."""
-        shard = self._shard
-        frame = shard.held.pop(gid, None)
-        if frame is not None:
-            shard.cross.discard(gid)
-            self._finalise_commit(frame, frame.commit_value)
-            return
-        session = shard.sessions.pop(gid, None)
-        if session is not None:
-            self._finalise_session_commit(session)
-
-    def apply_global_abort(self, gid: str, reason: str) -> None:
-        """The coordinator decided abort: discard the local share."""
-        shard = self._shard
-        if gid in shard.sessions:
-            self._abort_remote(gid, reason)
-            return
-        shard.held.pop(gid, None)
-        if gid in self._frames or gid in self._executions_by_transaction:
-            # Home shard: the standard abort path applies (restart policy
-            # included) and re-notes the abort, which the coordinator
-            # ignores for an already-resolved id.
-            self._abort_transaction(gid, reason)
-
-    def _finalise_session_commit(self, session: _Frame) -> None:
-        """Commit a foreign transaction's local session (owner side).
-
-        Mirrors :meth:`_finalise_commit` minus home-only accounting: the
-        commit count, latency and restart-policy bookkeeping belong to the
-        home shard; here the session's locks are released, its undo
-        segments dropped and its committed executions recorded.
-        """
-        gid = session.execution_id
-        self.scheduler.on_transaction_commit(session.info)
-        self._committed.append(gid)
-        self._record(COMMITTED, gid, detail="remote session")
-        self._set_not_ready(session, _DONE)
-        self._frames.pop(gid, None)
-        self._undo_log.forget_transaction(gid)
-        subtree = self._executions_by_transaction.pop(gid, set())
-        self._drain_wakeups({gid, *subtree})
-        self._note_finished_attempt()
-
-    def _abort_remote(self, gid: str, reason: str) -> None:
-        """Abort a foreign transaction's local session (owner side).
-
-        Mirrors :meth:`_abort_transaction` minus home-only accounting (no
-        restart, no give-up, no in-flight or aborted-attempt counts — the
-        home shard owns those); wasted local steps are still counted here
-        because the work physically ran on this shard.
-        """
-        shard = self._shard
-        session = shard.sessions.pop(gid, None)
-        if session is None:
-            return
-        subtree_ids = set(self._executions_by_transaction.get(gid, ()))
-        subtree_ids.add(gid)
-        frames = self._frames
-        subtree_frames = [
-            frames[execution_id]
-            for execution_id in subtree_ids
-            if execution_id in frames
-        ]
-        self._aborted_executions.update(subtree_ids)
-        self._record(ABORTED, gid, detail=reason)
-        self.scheduler.on_transaction_abort(session.info, tuple(sorted(subtree_ids)))
-        for frame in subtree_frames:
-            if frame.status == _PARKED:
-                self._clear_parking(frame)
-            self._set_not_ready(frame, _DONE)
-            self._frames.pop(frame.execution_id, None)
-        for remote_id in [
-            remote_id
-            for remote_id, frame_id in shard.waiters.items()
-            if frame_id in subtree_ids
-        ]:
-            del shard.waiters[remote_id]
-        self.metrics.wasted_steps += self._undo_states(gid, subtree_ids)
-        self._drain_wakeups(subtree_ids)
-        self._executions_by_transaction.pop(gid, None)
-        shard.notes.append(("aborted", gid, reason))
-        self._note_finished_attempt()
+        return False
 
     def _check_arrival_truncation(self) -> None:
         """Refuse to end a run that silently dropped queued arrivals.
@@ -1141,10 +598,6 @@ class SimulationEngine:
                 f"{max(event[0] for event in self._events if event[1] == _EVENT_ARRIVAL)})"
             )
 
-    def _next_event_tick(self) -> int | None:
-        """The earliest tick a queued restart or arrival becomes due, if any."""
-        return self._events[0][0] if self._events else None
-
     def _admit(self, spec: TransactionSpec, arrival_tick: int = 0) -> None:
         """A new lineage enters the system (first attempt)."""
         lineage = next(self._lineage_counter)
@@ -1153,23 +606,6 @@ class SimulationEngine:
         if self._in_flight > self.metrics.in_flight_peak:
             self.metrics.in_flight_peak = self._in_flight
         self._start_transaction(spec, attempt=1, lineage=lineage)
-
-    def _choose_frame_scan(self) -> _Frame | None:
-        """The legacy chooser: scan the frame table for ready frames.
-
-        The candidate list is in frame-table insertion order == creation
-        order, which is what the maintained ready list reproduces.
-        """
-        candidates = [
-            frame for frame in self._frames.values() if frame.status == _READY
-        ]
-        if not candidates:
-            return None
-        if self.scheduling == "random":
-            return self.rng.choice(candidates)
-        index = self._round_robin_cursor % len(candidates)
-        self._round_robin_cursor = index + 1
-        return candidates[index]
 
     # ------------------------------------------------------------------
     # the ready list
@@ -1312,19 +748,13 @@ class SimulationEngine:
         if self._trace is not None:
             self._trace.record(TraceEvent(self._tick, kind, execution_id, object_name, detail))
 
-    def _start_transaction(self, spec: TransactionSpec, attempt: int, lineage: int) -> None:
+    def _begin_top_level(self, method_name: str):
+        """Record a new top-level execution (the builder numbers it)."""
+        return self._builder.begin_top_level(method_name)
+
+    def _start_transaction(self, spec: TransactionSpec, attempt: int, lineage: int) -> _Frame:
         definition = self.object_base.environment.method(spec.method_name)
-        shard = self._shard
-        if shard is not None and shard.id_prefix:
-            # Namespaced ids keep top-level (and hence child) execution ids
-            # globally unique across the shard fleet; single-shard runs keep
-            # the builder's own ids so they stay bit-identical to plain runs.
-            execution = self._builder.begin_top_level(
-                spec.method_name,
-                execution_id=f"{shard.id_prefix}T{next(shard.txn_counter)}",
-            )
-        else:
-            execution = self._builder.begin_top_level(spec.method_name)
+        execution = self._begin_top_level(spec.method_name)
         info = ExecutionInfo(
             execution_id=execution.execution_id,
             object_name=self.object_base.environment.name,
@@ -1350,13 +780,10 @@ class SimulationEngine:
         if attempt == 1:
             self.restart_policy.on_submit(lineage)
         self.scheduler.on_transaction_begin(info)
-        if shard is not None and shard.classify(spec):
-            # Register the attempt for two-phase coordination; each restart
-            # is a fresh id, so the coordinator sees attempts, not lineages.
-            shard.cross.add(info.execution_id)
         if self._certifier is not None:
             self._certifier.note_begin(info.execution_id, self._builder.clock)
         self._record(BEGIN if attempt == 1 else RESTARTED, info.execution_id, detail=spec.label)
+        return frame
 
     def _spawn_child(self, parent: _Frame, invocation: InvokeRequest, after) -> _Frame:
         definition = self.object_base.method(invocation.object_name, invocation.method_name)
@@ -1427,27 +854,14 @@ class SimulationEngine:
         return hasattr(candidate, "send") and hasattr(candidate, "throw")
 
     def _handle_request(self, frame: _Frame, request: Any) -> None:
-        shard = self._shard
         if isinstance(request, LocalRequest):
             self._resolve_local(frame, request)
         elif isinstance(request, InvokeRequest):
-            if shard is not None and not shard.owns(request.object_name):
-                remote_id = self._send_remote_invoke(frame, request)
-                self._set_not_ready(frame, _WAITING)
-                frame.waiting_on = {remote_id}
-                frame.parallel_order = []
-                return
             child = self._spawn_child(frame, request, after=None)
             self._set_not_ready(frame, _WAITING)
             frame.waiting_on = {child.execution_id}
             frame.parallel_order = []
         elif isinstance(request, ParallelRequest):
-            if shard is not None and not all(
-                shard.owns(invocation.object_name)
-                for invocation in request.invocations
-            ):
-                self._spawn_mixed_parallel(frame, request)
-                return
             existing_steps = list(frame.execution.step_ids())
             children = [
                 self._spawn_child(frame, invocation, after=existing_steps)
@@ -1464,7 +878,11 @@ class SimulationEngine:
 
     # -- local operations ---------------------------------------------------------
 
-    def _resolve_local(self, frame: _Frame, request: LocalRequest) -> None:
+    def _resolve_local(self, frame: _Frame, request: LocalRequest) -> LocalStep | None:
+        """Consult the scheduler on one local operation; returns the executed step.
+
+        ``None`` when the operation blocked or aborted the transaction.
+        """
         info = frame.info
         object_name = info.object_name
         operation = request.operation
@@ -1492,18 +910,18 @@ class SimulationEngine:
             self._record(BLOCKED, frame.execution_id, object_name, response.reason)
             if frame.blocked_attempts >= self.starvation_limit:
                 self._abort_transaction(info.top_level_id, "starvation: blocked too long")
-                return
+                return None
             if not self._park(frame, response.blockers, commit=False):
                 # No live blocker to key a wake-up on: stay runnable and
                 # retry (the pre-event-driven behaviour), which keeps the
                 # starvation valve meaningful for degenerate schedulers.
                 metrics.blocked_ticks += 1
                 metrics.wait_ticks += 1
-            return
+            return None
         if response.aborted:
             frame.pending_local = None
             self._abort_transaction(info.top_level_id, response.reason)
-            return
+            return None
 
         # Granted: commit the already-computed transition and record the step.
         frame.pending_local = None
@@ -1513,23 +931,11 @@ class SimulationEngine:
         self._undo_log.record(
             object_name, info.execution_id, info.top_level_id, operation, pre_state
         )
-        if self._full_log is not None:
-            self._full_log.append(
-                _StepLogEntry(info.execution_id, info.top_level_id, object_name, operation)
-            )
         metrics.local_steps += 1
         self.scheduler.on_operation_executed(operation_request, value)
-        shard = self._shard
-        if (
-            shard is not None
-            and shard.tracker is not None
-            and (info.top_level_id in shard.cross or info.top_level_id in shard.sessions)
-        ):
-            # Only cross-shard work feeds the inter-shard precedence graph;
-            # purely local transactions are the local scheduler's business.
-            shard.tracker.note_step(info, provisional_step)
         self._record(GRANTED, frame.execution_id, object_name, operation.name)
         frame.inbox = value
+        return provisional_step
 
     # -- completion -----------------------------------------------------------------
 
@@ -1549,20 +955,6 @@ class SimulationEngine:
         self._drain_wakeups()
 
     def _deliver_to_parent(self, child: _Frame, return_value: Any) -> None:
-        if child.shard_remote_id is not None:
-            # A remote-session child: its result travels back to the shard
-            # that requested it (open-nesting style, the value is
-            # provisional until the global commit); the session root stays
-            # open, retaining the subtree's locks, until the coordinator
-            # resolves the transaction.
-            shard = self._shard
-            shard.outbox.append(
-                ("result", child.shard_remote_id, child.info.top_level_id, return_value)
-            )
-            parent = child.parent
-            if parent is not None:
-                parent.waiting_on.discard(child.execution_id)
-            return
         parent = child.parent
         if parent is None or parent.status != _WAITING:
             return
@@ -1583,12 +975,6 @@ class SimulationEngine:
                 self._set_ready(parent)
 
     def _complete_top_level(self, frame: _Frame, return_value: Any) -> None:
-        shard = self._shard
-        if shard is not None and frame.info.top_level_id in shard.cross:
-            # A cross-shard transaction cannot commit unilaterally: hold the
-            # prepared root for the coordinator's two-phase decision.
-            self._hold_commit(frame, return_value)
-            return
         response = self.scheduler.on_commit_request(frame.info)
         if response.blocked:
             # The scheduler defers the commit (e.g. until the transactions
@@ -1667,8 +1053,8 @@ class SimulationEngine:
         The victim dies through the ordinary abort path — undo, scheduler
         release, cascade exposure, restart policy — so an injected crash
         is indistinguishable from a scheduler-initiated abort downstream.
-        Shard-foreign sessions are excluded (their home shard owns their
-        lineage); with no eligible victim the fault passes without effect.
+        Victims are drawn from :meth:`_fault_candidates`; with no eligible
+        victim the fault passes without effect.
         A periodic plan re-arms itself here for as long as any work
         (frames or queued events) remains, so an idle tail never spins on
         fault events alone.
@@ -1676,14 +1062,9 @@ class SimulationEngine:
         plan = self._fault_plan
         if plan is None:  # defensive: events exist only when a plan is set
             return
-        shard = self._shard
         lineage_of = self._lineage_of
         candidates = sorted(
-            (
-                transaction_id
-                for transaction_id in self._executions_by_transaction
-                if shard is None or transaction_id not in shard.sessions
-            ),
+            self._fault_candidates(),
             key=lambda transaction_id: (
                 lineage_of.get(transaction_id, 0),
                 transaction_id,
@@ -1699,6 +1080,10 @@ class SimulationEngine:
             heapq.heappush(
                 self._events, (next_due, _EVENT_FAULT, next(self._fault_sequence), None)
             )
+
+    def _fault_candidates(self):
+        """The live top-level transactions a crash may kill."""
+        return self._executions_by_transaction
 
     # -- aborts ----------------------------------------------------------------------
 
@@ -1720,14 +1105,6 @@ class SimulationEngine:
         return "other"
 
     def _abort_transaction(self, top_level_id: str, reason: str) -> None:
-        shard = self._shard
-        if shard is not None and top_level_id in shard.sessions:
-            # A locally-detected abort (deadlock, timestamp violation,
-            # starvation) of a *foreign* transaction's session: discard the
-            # local subtree and notify the coordinator, which relays the
-            # abort to the home shard (where restart policy applies).
-            self._abort_remote(top_level_id, reason)
-            return
         top_frame = self._frames.get(top_level_id)
         # Every execution ever created for this attempt belongs to the
         # aborted subtree (including completed children whose frames are
@@ -1773,19 +1150,6 @@ class SimulationEngine:
         # the attempt's execution index (a restart gets fresh ids).
         self._drain_wakeups(subtree_ids)
         self._executions_by_transaction.pop(top_level_id, None)
-
-        if shard is not None and top_level_id in shard.cross:
-            # Unregister the attempt and tell the coordinator, so every
-            # other participant discards its session for this id.
-            shard.cross.discard(top_level_id)
-            shard.held.pop(top_level_id, None)
-            for remote_id in [
-                remote_id
-                for remote_id, frame_id in shard.waiters.items()
-                if frame_id in subtree_ids
-            ]:
-                del shard.waiters[remote_id]
-            shard.notes.append(("aborted", top_level_id, reason))
 
         # Restart the transaction if its spec allows it; *when* is the
         # restart policy's call — zero delay restarts within this tick
@@ -1862,32 +1226,4 @@ class SimulationEngine:
 
     def _undo_states(self, top_level_id: str, subtree_ids: set[str]) -> int:
         """Undo the aborted subtree's steps; returns the wasted-step count."""
-        if self.undo == REPLAY_UNDO:
-            removed = self._undo_log.prune(top_level_id, subtree_ids)
-            self._states = self._replay_states()
-            return removed
-        removed = self._undo_log.undo(top_level_id, subtree_ids, self._states)
-        if self.check_undo:
-            replayed = self._replay_states()
-            if self._states != replayed:
-                differing = sorted(
-                    name
-                    for name in set(self._states) | set(replayed)
-                    if self._states.get(name) != replayed.get(name)
-                )
-                raise SimulationError(
-                    "incremental undo diverged from full replay on objects "
-                    f"{differing} after abort of {top_level_id}"
-                )
-        return removed
-
-    def _replay_states(self) -> dict[str, ObjectState]:
-        """Rebuild every object state by replaying the surviving global log."""
-        assert self._full_log is not None, "full replay requires the global step log"
-        states = dict(self.object_base.initial_states())
-        for entry in self._full_log:
-            if entry.execution_id in self._aborted_executions:
-                continue
-            state = states.get(entry.object_name, ObjectState())
-            _, states[entry.object_name] = entry.operation.apply(state)
-        return states
+        return self._undo_log.undo(top_level_id, subtree_ids, self._states)

@@ -63,6 +63,13 @@ class TestCertifyRun:
         assert not report.serialisable
         assert not report.correct
 
+    def test_graph_mode_keyword_is_rejected(self):
+        # One post-hoc SG builder: there is no mode to select.
+        workload = BankingWorkload(accounts=4, transactions=4, seed=2)
+        result = run_workload(workload, make_scheduler("n2pl"))
+        with pytest.raises(TypeError):
+            certify_run(result, sg_mode="legacy")
+
 
 class TestHistoryStatistics:
     def test_statistics_of_two_transaction_history(self):

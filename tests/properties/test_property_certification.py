@@ -1,19 +1,18 @@
 """Property-based oracles for the indexed certification machinery.
 
-PR 2 rewrote the serialisation-graph builders and the history order
-queries on top of persistent indexes and sorted-interval sweeps, keeping
-the original permutation implementations as oracles.  These tests generate
-random *nested* histories (with internal parallelism, so incomparable
-siblings and non-trivial disjoint ancestors actually occur) and assert:
+The serialisation-graph builders and the history order queries run on
+persistent indexes and sorted-interval sweeps; the original permutation
+implementations they replaced live in :mod:`tests.oracles`.  These tests
+generate random *nested* histories (with internal parallelism, so
+incomparable siblings and non-trivial disjoint ancestors actually occur)
+and assert:
 
-* indexed ``order_pairs`` / ``precedes`` agree with the retained legacy
-  implementations (``order_pairs_legacy`` / ``precedes_legacy``);
+* indexed ``order_pairs`` / ``precedes`` agree with the oracles
+  (``order_pairs_legacy`` / ``precedes_legacy``);
 * the sweep-based ``serialisation_graph`` / ``sg_local`` / ``sg_mesg``
-  reproduce the legacy from-scratch graphs (``check=True`` raises on any
-  divergence);
-* :class:`~repro.core.graphs.IncrementalSG`, fed the steps in commit
-  order, yields the same edges, reasons and cycle verdict as the
-  from-scratch builder (networkx only as a cross-check).
+  reproduce the from-scratch graphs edge for edge and reason for reason;
+* Theorem 5's conditions and the whole certification report come out the
+  same whether the per-object graphs are shared or rebuilt from scratch.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import certify_history
 from repro.core import (
     History,
     HistoryBuilder,
@@ -30,12 +30,21 @@ from repro.core import (
     ReadVariable,
     ReadWriteConflictSpec,
     WriteVariable,
-    incremental_serialisation_graph,
-    is_acyclic,
     serialisation_graph,
-    serialisation_graph_legacy,
     sg_local,
     sg_mesg,
+    theorem_5_conditions,
+)
+
+from tests.oracles import (
+    assert_graphs_match,
+    certify_history_legacy,
+    order_pairs_legacy,
+    precedes_legacy,
+    serialisation_graph_legacy,
+    sg_local_legacy,
+    sg_mesg_legacy,
+    theorem_5_conditions_legacy,
 )
 
 OBJECT_NAMES = ("A", "B", "C")
@@ -103,14 +112,14 @@ class TestIndexedHistoryOracles:
     @settings(max_examples=40, deadline=None)
     @given(nested_history())
     def test_order_pairs_sweep_matches_legacy(self, history):
-        assert history.order_pairs() == history.order_pairs_legacy()
+        assert history.order_pairs() == order_pairs_legacy(history)
 
     @settings(max_examples=30, deadline=None)
     @given(nested_history())
     def test_precedes_matches_legacy_on_every_pair(self, history):
         steps = history.steps()
         for first, second in itertools.permutations(steps, 2):
-            assert history.precedes(first, second) == history.precedes_legacy(first, second)
+            assert history.precedes(first, second) == precedes_legacy(history, first, second)
 
     @settings(max_examples=20, deadline=None)
     @given(nested_history())
@@ -125,7 +134,7 @@ class TestIndexedHistoryOracles:
         )
         steps = encoded.steps()
         for first, second in itertools.permutations(steps, 2):
-            assert encoded.precedes(first, second) == encoded.precedes_legacy(first, second)
+            assert encoded.precedes(first, second) == precedes_legacy(encoded, first, second)
             assert encoded.precedes(first, second) == history.precedes(first, second)
 
     @settings(max_examples=30, deadline=None)
@@ -139,7 +148,7 @@ class TestIndexedHistoryOracles:
             expected = {
                 (first.step_id, second.step_id)
                 for first, second in itertools.permutations(steps, 2)
-                if history.precedes_legacy(first, second)
+                if precedes_legacy(history, first, second)
             }
             assert swept == expected
 
@@ -148,59 +157,34 @@ class TestGraphBuilderOracles:
     @settings(max_examples=30, deadline=None)
     @given(nested_history())
     def test_serialisation_graph_matches_legacy(self, history):
-        serialisation_graph(history, check=True)  # raises on divergence
+        assert_graphs_match(
+            serialisation_graph(history), serialisation_graph_legacy(history), "SG(h)"
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(nested_history())
     def test_per_object_graphs_match_legacy(self, history):
         for object_name in sorted(history.object_names() | {"environment"}):
-            sg_local(history, object_name, check=True)
-            sg_mesg(history, object_name, check=True)
-
-    @settings(max_examples=30, deadline=None)
-    @given(nested_history())
-    def test_incremental_sg_matches_from_scratch(self, history):
-        incremental = incremental_serialisation_graph(history, check=True)
-        reference = serialisation_graph_legacy(history)
-        assert incremental.is_acyclic == is_acyclic(reference)
+            assert_graphs_match(
+                sg_local(history, object_name),
+                sg_local_legacy(history, object_name),
+                f"sg_local({object_name!r})",
+            )
+            assert_graphs_match(
+                sg_mesg(history, object_name),
+                sg_mesg_legacy(history, object_name),
+                f"sg_mesg({object_name!r})",
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(nested_history())
-    def test_incremental_sg_cycle_verdict_matches_networkx(self, history):
-        incremental = incremental_serialisation_graph(history)
-        assert incremental.is_acyclic == is_acyclic(incremental.graph)
-        if not incremental.is_acyclic:
-            source, target = incremental.cycle_edge
-            assert incremental.graph.has_edge(source, target)
+    def test_theorem_5_matches_legacy(self, history):
+        assert theorem_5_conditions(history) == theorem_5_conditions_legacy(history)
 
-    def test_incremental_sg_handles_cyclic_temporal_order(self):
-        # An (illegal) history whose < is cyclic among conflicting local
-        # steps admits no linear extension, so the feed order falls back to
-        # step-id order; both directions of each pair must still be
-        # classified or the cycle-closing edge is silently dropped.
-        from repro.core import MethodExecution
-        from repro.core.executions import ENVIRONMENT_OBJECT
-        from repro.core.operations import LocalStep, MessageStep
-
-        t1 = MethodExecution("T1", ENVIRONMENT_OBJECT, "m")
-        t2 = MethodExecution("T2", ENVIRONMENT_OBJECT, "m")
-        m1 = MessageStep("T1", "A", "w")
-        t1.add_step(m1)
-        m2 = MessageStep("T2", "A", "w")
-        t2.add_step(m2)
-        c1 = MethodExecution("T1.1", "A", "w", parent_id="T1", invoking_step_id=m1.step_id)
-        c2 = MethodExecution("T2.1", "A", "w", parent_id="T2", invoking_step_id=m2.step_id)
-        s1 = LocalStep("T1.1", "A", WriteVariable("x", 1), 1)
-        c1.add_step(s1)
-        s2 = LocalStep("T2.1", "A", WriteVariable("x", 2), 2)
-        c2.add_step(s2)
-        history = History(
-            [t1, t2, c1, c2],
-            {"A": {}},
-            conflicts=PerObjectConflicts(default=ReadWriteConflictSpec()),
-            order_pairs=[(s1.step_id, s2.step_id), (s2.step_id, s1.step_id)],
+    @settings(max_examples=20, deadline=None)
+    @given(nested_history())
+    def test_certification_report_matches_legacy(self, history):
+        assert (
+            certify_history(history).as_dict()
+            == certify_history_legacy(history).as_dict()
         )
-        reference = serialisation_graph_legacy(history)
-        incremental = incremental_serialisation_graph(history)
-        assert incremental.is_acyclic == is_acyclic(reference) is False
-        assert set(incremental.graph.edges) == set(reference.edges)

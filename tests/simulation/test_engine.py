@@ -1,5 +1,11 @@
 """Tests for the simulation engine: execution, nesting, aborts, metrics."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core import ENVIRONMENT_OBJECT
@@ -308,3 +314,45 @@ class TestTraceAndMetrics:
         first = run_engine(base_one, specs, scheduler=make_scheduler("n2pl"), seed=42)
         second = run_engine(base_two, specs, scheduler=make_scheduler("n2pl"), seed=42)
         assert first.metrics.as_dict() == second.metrics.as_dict()
+
+
+class TestSingleEngineSurface:
+    @pytest.mark.parametrize(
+        "option", [{"hot_loop": "scan"}, {"undo": "replay"}, {"check_undo": True}]
+    )
+    def test_retired_options_are_rejected(self, option):
+        with pytest.raises(TypeError):
+            SimulationEngine(two_register_base(), make_scheduler("n2pl"), **option)
+
+    def test_plain_run_never_imports_the_shard_layer(self):
+        # The shard protocol lives in a SimulationEngine subclass under
+        # repro.shard; a plain run (with the package imported the usual
+        # way) must not load any of it.
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro
+            from repro.scheduler import make_scheduler
+            from repro.simulation import SimulationEngine, make_workload
+
+            base, specs = make_workload("hotspot", transactions=12, seed=3).build()
+            engine = SimulationEngine(base, make_scheduler("n2pl"), seed=3)
+            engine.submit_all(specs)
+            assert engine.run().metrics.committed > 0
+            loaded = sorted(name for name in sys.modules if name.startswith("repro.shard"))
+            print(",".join(loaded))
+            """
+        )
+        import repro
+
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": source_root},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert completed.stdout.strip() == ""

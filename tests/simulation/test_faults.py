@@ -3,9 +3,9 @@
 An injected crash is an engine-initiated abort of an in-flight top-level
 transaction.  The tests pin the contract: faults land exactly where the
 plan says, victims recover through the ordinary undo/restart machinery
-(verified against full replay via ``check_undo=True``), the committed
-projection stays serialisable, and a faulted run is still a pure
-function of its seeds.
+(verified against full replay by :class:`tests.oracles.CheckedUndoEngine`),
+the committed projection stays serialisable, and a faulted run is still
+a pure function of its seeds.
 """
 
 from __future__ import annotations
@@ -25,8 +25,12 @@ from repro.simulation import (
 )
 from repro.simulation.events import FAULT_INJECTED
 
+from tests.oracles import CheckedUndoEngine
 
-def run_with_faults(fault_plan, scheduler="n2pl", seed=7, record_trace=False, **engine_kwargs):
+
+def run_with_faults(
+    fault_plan, scheduler="n2pl", seed=7, record_trace=False, engine_class=SimulationEngine
+):
     workload = HotspotWorkload(
         transactions=24,
         hot_objects=2,
@@ -37,13 +41,12 @@ def run_with_faults(fault_plan, scheduler="n2pl", seed=7, record_trace=False, **
         seed=seed,
     )
     base, specs = workload.build()
-    engine = SimulationEngine(
+    engine = engine_class(
         base,
         make_scheduler(scheduler, restart_policy="backoff"),
         seed=seed,
         fault_plan=fault_plan,
         record_trace=record_trace,
-        **engine_kwargs,
     )
     engine.submit_all(specs)
     return engine.run()
@@ -99,11 +102,11 @@ class TestCrashPlanValidation:
 
 class TestInjection:
     def test_faults_land_and_victims_recover(self):
-        # check_undo=True re-derives every object state by full replay
+        # CheckedUndoEngine re-derives every object state by full replay
         # after each abort — including the injected ones — and raises on
         # any divergence, so a green run certifies the recovery path.
         result = run_with_faults(
-            CrashPlan(at=(40, 90), period=150), check_undo=True
+            CrashPlan(at=(40, 90), period=150), engine_class=CheckedUndoEngine
         )
         assert result.metrics.faults_injected > 0
         assert result.metrics.aborts_by_reason.get("fault", 0) == (
@@ -138,7 +141,7 @@ class TestInjection:
         result = run_with_faults(
             CrashPlan(period=80, max_faults=3),
             scheduler="adaptive",
-            check_undo=True,
+            engine_class=CheckedUndoEngine,
         )
         assert result.metrics.committed + result.metrics.gave_up == 24
         report = certify_run(result, check_legality=True)

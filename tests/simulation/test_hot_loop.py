@@ -1,12 +1,12 @@
 """The event-driven hot loop against its bit-identity oracle.
 
-The PR-6 rewrite replaced the per-tick frame scan with a maintained ready
-list and a unified event heap (``hot_loop="event"``), keeping the legacy
-scan loop (``hot_loop="scan"``) precisely so the two can be compared: the
-refactor's contract is that *every* observable of a run — metrics,
-committed order, aborted executions, the trace, the recorded history — is
-bit-identical under both strategies, for every scheduler, restart policy,
-commit-gate mode, scheduling policy and seed.
+The engine chooses the next frame from a maintained ready list and keeps
+restarts, arrivals and faults on one event heap.  The per-tick frame scan
+it replaced lives on as :class:`tests.oracles.ScanLoopEngine`, and the
+contract is that *every* observable of a run — metrics, committed order,
+aborted executions, the trace, the recorded history — is bit-identical
+under both, for every scheduler, restart policy, commit-gate mode,
+scheduling policy and seed.
 
 A second contract rides along: the hot record types are ``__slots__``-ed
 (the rewrite's memory/speed pass), and a slotted type silently regaining a
@@ -30,10 +30,13 @@ from repro.scheduler.certifier import _CandidateEdge
 from repro.scheduler.locks import LockEntry
 from repro.scheduler.nto import _StepRecord
 from repro.scheduler.recovery import _GateRecord
+from repro.simulation import SimulationEngine
 from repro.simulation.engine import _Frame
 from repro.simulation.events import TraceEvent
 from repro.simulation.transactions import MethodContext
 from repro.simulation.workloads import make_workload
+
+from tests.oracles import ScanLoopEngine
 
 #: Schedulers whose factories accept the CommitGate ``gate_mode`` axis.
 GATE_AWARE = {"nto", "nto-step", "certifier", "modular"}
@@ -46,7 +49,7 @@ gate_modes = st.sampled_from(["cascade", "aca"])
 scheduling_policies = st.sampled_from(["random", "round-robin"])
 
 
-def contended_engine(scheduler, *, seed, scheduling, hot_loop, stream):
+def contended_engine(scheduler, *, seed, scheduling, engine_class, stream):
     """A small but genuinely contended scenario (parks, aborts, restarts)."""
     workload = make_workload(
         "hotspot",
@@ -58,14 +61,11 @@ def contended_engine(scheduler, *, seed, scheduling, hot_loop, stream):
         seed=seed,
     )
     base, specs = workload.build()
-    from repro.simulation import SimulationEngine
-
-    engine = SimulationEngine(
+    engine = engine_class(
         base,
         scheduler,
         seed=seed,
         scheduling=scheduling,
-        hot_loop=hot_loop,
         record_trace=True,
     )
     if stream:
@@ -111,26 +111,17 @@ class TestEventLoopBitIdentity:
         if scheduler in GATE_AWARE:
             kwargs["gate_mode"] = gate_mode
         results = []
-        for hot_loop in ("event", "scan"):
+        for engine_class in (SimulationEngine, ScanLoopEngine):
             engine = contended_engine(
                 make_scheduler(scheduler, **kwargs),
                 seed=seed,
                 scheduling=scheduling,
-                hot_loop=hot_loop,
+                engine_class=engine_class,
                 stream=stream,
             )
             results.append(engine.run())
         event, scan = results
         assert observables(event) == observables(scan)
-
-    def test_unknown_hot_loop_is_rejected(self):
-        from repro.simulation import SimulationEngine
-        from repro.simulation.engine import SimulationError
-
-        workload = make_workload("hotspot", transactions=2, seed=1)
-        base, _ = workload.build()
-        with pytest.raises(SimulationError):
-            SimulationEngine(base, make_scheduler("n2pl"), hot_loop="warp")
 
 
 #: Every hot record type the rewrite slotted.  A class in this list whose

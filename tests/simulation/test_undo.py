@@ -3,16 +3,16 @@
 The abort path no longer replays the whole run; it rolls every touched
 object back to the snapshot taken before the aborted subtree's first step
 and re-applies the surviving suffix.  These tests pin the equivalence:
-``check_undo=True`` makes the engine compare the incremental result with a
-full replay after *every* abort and raise on any divergence, and the
-``undo="replay"`` strategy must produce byte-identical runs.
+:class:`tests.oracles.CheckedUndoEngine` compares the incremental result
+with a full replay after *every* abort and raises on any divergence, and
+:class:`tests.oracles.ReplayUndoEngine` (full replay instead of undo
+segments) must produce byte-identical runs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import SimulationError
 from repro.core.operations import LocalStep
 from repro.core.state import ObjectState, UndoLog
 from repro.objectbase.adts.register import WriteRegister
@@ -24,6 +24,8 @@ from repro.simulation import (
     QueueWorkload,
     SimulationEngine,
 )
+
+from tests.oracles import CheckedUndoEngine, ReplayUndoEngine
 
 ABORT_HEAVY = [
     ("nto", lambda: HotspotWorkload(
@@ -45,9 +47,9 @@ ABORT_HEAVY = [
 ]
 
 
-def run_engine(workload, scheduler_name, **kwargs):
+def run_engine(workload, scheduler_name, engine_class=SimulationEngine):
     base, specs = workload.build()
-    engine = SimulationEngine(base, make_scheduler(scheduler_name), seed=7, **kwargs)
+    engine = engine_class(base, make_scheduler(scheduler_name), seed=7)
     engine.submit_all(specs)
     return engine.run()
 
@@ -57,9 +59,10 @@ class TestIncrementalUndoEquivalence:
     def test_incremental_undo_matches_full_replay_on_every_abort(
         self, scheduler_name, make_workload
     ):
-        # check_undo=True re-derives every object state by full replay after
-        # each abort and raises SimulationError on the slightest divergence.
-        result = run_engine(make_workload(), scheduler_name, check_undo=True)
+        # CheckedUndoEngine re-derives every object state by full replay
+        # after each abort and raises SimulationError on the slightest
+        # divergence.
+        result = run_engine(make_workload(), scheduler_name, CheckedUndoEngine)
         assert result.metrics.aborted_attempts > 0, (
             f"{scheduler_name}: the workload must actually abort for the "
             "equivalence check to mean anything"
@@ -70,16 +73,10 @@ class TestIncrementalUndoEquivalence:
     def test_replay_strategy_produces_identical_runs(self, scheduler_name, make_workload):
         # The undo strategy must not influence scheduling decisions: the
         # same seed under either strategy yields the same run.
-        incremental = run_engine(make_workload(), scheduler_name, undo="incremental")
-        replay = run_engine(make_workload(), scheduler_name, undo="replay")
+        incremental = run_engine(make_workload(), scheduler_name)
+        replay = run_engine(make_workload(), scheduler_name, ReplayUndoEngine)
         assert incremental.metrics.as_dict() == replay.metrics.as_dict()
         assert incremental.final_states() == replay.final_states()
-
-    def test_unknown_undo_strategy_rejected(self):
-        workload = BankingWorkload(accounts=4, transactions=2, seed=1)
-        base, _ = workload.build()
-        with pytest.raises(SimulationError):
-            SimulationEngine(base, make_scheduler("n2pl"), undo="magic")
 
     def test_committed_state_preserved_across_interleaved_abort(self):
         # A committed write that lands *after* the aborted transaction's
@@ -108,12 +105,11 @@ class TestIncrementalUndoEquivalence:
                     return SchedulerResponse.abort("validation failed: synthetic")
                 return SchedulerResponse.grant()
 
-        engine = SimulationEngine(
+        engine = CheckedUndoEngine(
             base,
             AbortSecondTransactionLate(),
             scheduling="round-robin",
             max_restarts=0,
-            check_undo=True,
         )
         engine.submit(TransactionSpec("write_cell", (10,)))
         engine.submit(TransactionSpec("write_cell", (20,)))

@@ -50,6 +50,18 @@ def test_unknown_engine_parameter_rejected():
         hotspot_spec(engine_params={"not_an_engine_option": True})
 
 
+@pytest.mark.parametrize(
+    "engine_params",
+    [{"hot_loop": "scan"}, {"undo": "replay"}, {"check_undo": True}],
+    ids=["hot_loop", "undo", "check_undo"],
+)
+def test_retired_engine_options_rejected(engine_params):
+    # The frame-scan loop and full-replay undo are test-suite oracles, not
+    # engine options; a spec still naming them must fail at construction.
+    with pytest.raises(SweepSpecError, match="unknown engine parameters"):
+        hotspot_spec(engine_params=engine_params)
+
+
 def test_unknown_scheduler_kwargs_rejected_eagerly():
     # The factory signatures are explicit, so a typo'd keyword fails at
     # spec construction, not inside a worker process mid-sweep.
